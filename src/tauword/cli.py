@@ -15,19 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import free_words, james_monoid, orders, rearrange, specker, word_expr
-
-
-@dataclass
-class RunConfig:
-    depth: int = 12
-    seed: int = 0
-    budget: int = 200
-    max_points: int = 4
-    max_n: int = 3
-    fmt: str = "text"
 
 
 class InputError(Exception):
@@ -169,13 +158,13 @@ def cmd_shuffle(ns) -> int:
         raise InputError(str(exc)) from exc
     eta_before = word_expr.eta(expr)
     eta_after = word_expr.eta(shuffled)
-    projections = []
-    all_identity = True
-    for n in range(1, ns.depth + 1):
-        before = word_expr.project(expr, n)
-        after = word_expr.project(shuffled, n)
-        all_identity = all_identity and after.is_identity
-        projections.append({"n": n, "before": str(before), "after": str(after)})
+    befores = word_expr.projection_tower(expr, ns.depth)
+    afters = word_expr.projection_tower(shuffled, ns.depth)
+    projections = [
+        {"n": n, "before": str(before), "after": str(after)}
+        for n, (before, after) in enumerate(zip(befores, afters), start=1)
+    ]
+    all_identity = all(after.is_identity for after in afters)
     report = {
         "command": "shuffle",
         "eta_before": str(eta_before),
@@ -198,11 +187,7 @@ def cmd_factor(ns) -> int:
         spec = word_expr.commutator_factorization(expr, ns.depth)
     except word_expr.HypothesisViolationError as exc:
         raise InputError(str(exc)) from exc
-    product = word_expr.OmegaProd(spec)
-    verified = all(
-        word_expr.project(product, n) == word_expr.project(expr, n)
-        for n in range(1, ns.depth + 1)
-    )
+    verified = word_expr.equal_up_to(word_expr.OmegaProd(spec), expr, ns.depth).equal
     stages = []
     for i, stage in enumerate(spec.prefix, start=1):
         stages.append({"stage": i, "word": str(_finite_word(stage))})
@@ -556,6 +541,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if ns.depth < 0:
+            raise InputError(f"--depth must be non-negative, got {ns.depth}")
         return ns.func(ns)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,6 +15,7 @@ expression stay finitely described after rearrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 
@@ -77,7 +78,9 @@ class FiniteSupport(BijectionSpec):
                     raise MalformedBijectionError(f"cycles overlap at {x}")
                 seen.add(x)
 
-    def _table(self) -> dict[int, int]:
+    @cached_property
+    def _cycle_table(self) -> dict[int, int]:
+        """Each moved point's image, built on first use."""
         table = {}
         for cycle in self.cycles:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -87,7 +90,7 @@ class FiniteSupport(BijectionSpec):
     def evaluate(self, k: int) -> int:
         if k < 1:
             raise ValueError("domain is the positive integers")
-        return self._table().get(k, k)
+        return self._cycle_table.get(k, k)
 
     def inverse(self) -> "FiniteSupport":
         return FiniteSupport(tuple(tuple(reversed(c)) for c in self.cycles))
@@ -171,7 +174,8 @@ class Compose(BijectionSpec):
         )
         structure = EventualStructure(bound, period, offsets)
         for k in range(bound + 1, bound + 3 * period + 1):
-            assert self.evaluate(k) == k + structure.offset_at(k)
+            if self.evaluate(k) != k + structure.offset_at(k):
+                raise RuntimeError(f"composition is not residue-offset beyond {bound} (at {k})")
         return structure
 
     def to_json(self) -> dict:
@@ -242,6 +246,8 @@ def is_bijection(phi, bound: int) -> bool:
     largest displacement observed.
     """
     values = [phi.evaluate(k) if hasattr(phi, "evaluate") else phi(k) for k in range(1, bound + 1)]
+    if not values:
+        return True  # the empty range is trivially permuted
     if len(set(values)) != bound or min(values) < 1:
         return False
     if sorted(values) == list(range(1, bound + 1)):

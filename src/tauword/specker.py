@@ -246,7 +246,8 @@ def identity_matrix(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return []
-    assert len(a[0]) == len(b)
+    if len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply a {len(a)}x{len(a[0])} by a {len(b)}x{len(b[0])} matrix")
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
@@ -387,7 +388,8 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 g = gcd(a_i, a_j)
                 # re-reduce the 2x2 block with explicit operations
                 _reduce_pair(s, u, v, i)
-                assert s[i][i] == g
+                if s[i][i] != g:
+                    raise RuntimeError(f"diagonal entry {i} is {s[i][i]}, not gcd {g}")
                 changed = True
             elif a_i == 0 and a_j != 0:
                 swap_rows(i, i + 1)

@@ -27,6 +27,7 @@ from .free_words import (
     IDENTITY,
     ReducedWord,
     concat_all,
+    delete_above,
     delete_letter,
     commutator_decompose,
     invert,
@@ -323,6 +324,21 @@ def project(e: WordExpr, n: int, *, _validated: bool = False) -> ReducedWord:
     return _project(e, n)
 
 
+def projection_tower(e: WordExpr, n: int) -> list[ReducedWord]:
+    """The projections at levels 1..n, in that order.
+
+    Only level n is projected; each lower level is ``delete_above`` of the
+    level above it, which the deletion tower makes equal to its projection.
+    """
+    if n < 1:
+        return []
+    words = [project(e, n)]
+    for k in range(n - 1, 0, -1):
+        words.append(delete_above(words[-1], k))
+    words.reverse()
+    return words
+
+
 def _project(e: WordExpr, n: int) -> ReducedWord:
     if isinstance(e, Letter):
         return reduce([(e.index, e.exp)]) if e.index <= n else IDENTITY
@@ -408,15 +424,29 @@ def equal_up_to(a: WordExpr, b: WordExpr, n_max: int) -> EqualityResult:
 
     A failure is a conclusive inequality (with the smallest failing level and
     both words); agreement at all levels is evidence, not proof.
+
+    Each side is projected once, at n_max.  By the deletion tower the
+    level-n projection is ``delete_above`` of the level-n_max one, so
+    agreement at n_max implies agreement at every lower level, and a
+    disagreement at level k persists at every level above k.  The smallest
+    failing level is therefore found by bisection over ``delete_above``.
     """
     ensure_valid(a)
     ensure_valid(b)
-    for n in range(1, n_max + 1):
-        wa = _project(a, n)
-        wb = _project(b, n)
-        if wa != wb:
-            return EqualityResult(False, n, wa, wb)
-    return EqualityResult(True)
+    if n_max < 1:
+        return EqualityResult(True)
+    top_a = _project(a, n_max)
+    top_b = _project(b, n_max)
+    if top_a == top_b:
+        return EqualityResult(True)
+    lo, hi = 1, n_max  # the projections differ at hi; find the smallest such level
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if delete_above(top_a, mid) == delete_above(top_b, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return EqualityResult(False, lo, delete_above(top_a, lo), delete_above(top_b, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +498,8 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
     new_bodies = []
     for t0 in range(big):
         s0 = t0 + cut + st.offsets[t0 % st.period] - r
-        assert s0 >= 0
+        if s0 < 0:
+            raise RuntimeError(f"rearranged tail body {t0} reads before the tail (offset {s0})")
         new_bodies.append(_reindex(bodies[s0 % q_count], s0 // q_count, big // q_count))
     return make(SeqSpec(new_prefix, Template(tuple(new_bodies))))
 
@@ -517,7 +548,8 @@ def commutator_factorization(e: WordExpr, depth: int = 12) -> SeqSpec:
             Concat(tuple(commutator_expr(word_to_expr(a), word_to_expr(b)) for a, b in pairs))
         )
         beta = beta_next
-    assert beta.is_identity
+    if not beta.is_identity:
+        raise RuntimeError(f"stage peeling left {beta} after {depth} letters")
     return SeqSpec(tuple(stages), Trivial())
 
 

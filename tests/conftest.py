@@ -137,3 +137,24 @@ def random_bijection(rng, max_support=12) -> ra.BijectionSpec:
     if rng.random() < 0.3:
         return ra.Compose(tuple(atom() for _ in range(rng.randint(2, 3))))
     return atom()
+
+
+def equal_up_to_by_levels(a, b, n_max: int) -> we.EqualityResult:
+    """Reference for ``equal_up_to``: both sides projected afresh at every level."""
+    for n in range(1, n_max + 1):
+        wa, wb = we.project(a, n), we.project(b, n)
+        if wa != wb:
+            return we.EqualityResult(False, n, wa, wb)
+    return we.EqualityResult(True)
+
+
+def swapped_pair(rng, max_letter=10) -> tuple[we.WordExpr, we.WordExpr]:
+    """A product and its copy with two adjacent prefix letters swapped."""
+    spec = random_product(rng).spec
+    i, j = rng.sample(range(1, max_letter + 1), 2)
+    pair = (we.Letter(i, nonzero(rng)), we.Letter(j, nonzero(rng)))
+    at = rng.randint(0, len(spec.prefix))
+    make = we.OmegaProd if rng.random() < 0.5 else we.TauProd
+    left = make(we.SeqSpec(spec.prefix[:at] + pair + spec.prefix[at:], spec.tail))
+    right = make(we.SeqSpec(spec.prefix[:at] + pair[::-1] + spec.prefix[at:], spec.tail))
+    return left, right

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from tauword import cli, word_expr as we
+from tauword import cli, rearrange as ra, word_expr as we
+
+from conftest import equal_up_to_by_levels
 
 
 def run(capsys, *argv):
@@ -43,6 +45,24 @@ def test_input_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "equal", "--builtin", "ell_tau", "--depth", "2")
     assert code == 1 and "expected 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equal", "--builtin", "ell_infinity", "--builtin", "ell_infinity"],
+        ["shuffle", "--builtin", "ell_infinity", "--named", "eh_shuffle"],
+        ["factor", "--builtin", "commutator_product"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_depth_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv, "--depth", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--depth must be non-negative" in err
+    code, _, _ = run(capsys, *argv, "--depth", "0")
+    assert code == 0
 
 
 def test_expression_file_and_json_format(tmp_path, capsys):
@@ -318,3 +338,84 @@ def test_reports_deterministic(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def _canonical(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _config(depth: int) -> dict:
+    return {"depth": depth, "seed": 0, "budget": 200}
+
+
+def shuffle_report_by_levels(expr, phi, depth: int) -> str:
+    """The shuffle JSON report with both sides projected afresh at every level."""
+    shuffled = we.apply_bijection(expr, phi)
+    eta_before, eta_after = we.eta(expr), we.eta(shuffled)
+    projections = []
+    for n in range(1, depth + 1):
+        before, after = we.project(expr, n), we.project(shuffled, n)
+        projections.append({"n": n, "before": str(before), "after": str(after)})
+    return _canonical({
+        "command": "shuffle",
+        "eta_before": str(eta_before),
+        "eta_after": str(eta_after),
+        "eta_invariant": eta_before == eta_after,
+        "projections": projections,
+        "all_projections_identity": all(we.project(shuffled, n).is_identity for n in range(1, depth + 1)),
+        "config": _config(depth),
+    })
+
+
+def factor_report_by_levels(expr, depth: int) -> str:
+    """The factor JSON report with the projections compared at every level."""
+    spec = we.commutator_factorization(expr, depth)
+    verified = equal_up_to_by_levels(we.OmegaProd(spec), expr, depth).equal
+    return _canonical({
+        "command": "factor",
+        "depth": depth,
+        "stages": [{"stage": i, "word": str(we.project(stage, 10**9))} for i, stage in enumerate(spec.prefix, start=1)],
+        "projections_match": verified,
+        "config": _config(depth),
+    })
+
+
+def _expr_arg(source: str) -> list[str]:
+    return ["--expr", str(SAMPLES / source)] if source.endswith(".json") else ["--builtin", source]
+
+
+def _expr_of(source: str) -> we.WordExpr:
+    if source.endswith(".json"):
+        return we.from_json(json.loads((SAMPLES / source).read_text()))
+    return we.BUILTINS[source]()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 7, 16])
+@pytest.mark.parametrize(
+    "source, bijection",
+    [
+        ("tau_squares.json", "swap_first_two.json"),
+        ("ell_infinity", "swap_first_two.json"),
+        ("ell_tau", "eh_shuffle"),
+        ("flattened_commutator_product", "eh_shuffle"),
+    ],
+)
+def test_shuffle_report_matches_level_by_level_oracle(capsys, source, bijection, depth):
+    if bijection.endswith(".json"):
+        phi_arg = ["--bijection", str(SAMPLES / bijection)]
+        phi = ra.bijection_from_json(json.loads((SAMPLES / bijection).read_text()))
+    else:
+        phi_arg = ["--named", bijection]
+        phi = ra.eh_shuffle()
+    code, out, _ = run(capsys, "shuffle", *_expr_arg(source), *phi_arg, "--depth", str(depth), "--format", "json")
+    assert code == 0
+    assert out == shuffle_report_by_levels(_expr_of(source), phi, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 8, 16])
+@pytest.mark.parametrize("source", ["commutators.json", "commutator_product", "flattened_commutator_product"])
+def test_factor_report_matches_level_by_level_oracle(capsys, source, depth):
+    code, out, _ = run(capsys, "factor", *_expr_arg(source), "--depth", str(depth), "--format", "json")
+    expected = factor_report_by_levels(_expr_of(source), depth)
+    assert code == (0 if json.loads(expected)["projections_match"] else 2)
+    assert out == expected

@@ -134,6 +134,36 @@ def test_is_bijection_rejects_non_injective():
     assert not ra.is_bijection(Collapse(), 10)
 
 
+def test_is_bijection_empty_range():
+    assert ra.is_bijection(ra.identity(), 0)
+    assert ra.is_bijection(ra.eh_shuffle(), 0)
+    assert ra.is_bijection(lambda k: k + 1, 0)
+
+
+def test_finite_support_table_built_once():
+    phi = ra.FiniteSupport(((2, 5, 9), (1, 4)))
+    assert [phi.evaluate(k) for k in range(1, 11)] == [4, 5, 3, 1, 9, 6, 7, 8, 2, 10]
+    table = phi._cycle_table
+    phi.evaluate(3)
+    assert phi._cycle_table is table
+    assert phi == ra.FiniteSupport(((2, 5, 9), (1, 4)))
+    assert hash(phi) == hash(ra.FiniteSupport(((2, 5, 9), (1, 4))))
+
+
+def test_compose_self_check_raises():
+    class Liar(ra.BijectionSpec):
+        """Claims to be the identity beyond 0 but moves 2."""
+
+        def evaluate(self, k):
+            return {2: 3, 3: 2}.get(k, k)
+
+        def eventual_structure(self):
+            return ra.EventualStructure(0, 1, (0,))
+
+    with pytest.raises(RuntimeError, match="residue-offset"):
+        ra.Compose((Liar(),)).eventual_structure()
+
+
 def test_json_round_trip():
     rng = make_rng(408)
     for _ in range(60):

@@ -181,6 +181,11 @@ def random_matrix(rng, max_dim=4, bound=5):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="2x3 by a 2x1"):
+        sp.mat_mul([[1, 2, 3], [4, 5, 6]], [[1], [2]])
+
+
 def assert_valid_snf(a):
     s, u, v = sp.smith_normal_form(a)
     assert sp.mat_mul(sp.mat_mul(u, a), v) == s

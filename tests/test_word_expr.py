@@ -8,11 +8,13 @@ from tauword import specker as sp
 from tauword import word_expr as we
 
 from conftest import (
+    equal_up_to_by_levels,
     make_rng,
     random_bijection,
     random_expr,
     random_product,
     random_zero_eta_expr,
+    swapped_pair,
 )
 
 
@@ -111,6 +113,14 @@ def test_project_tower_fuzzed():
             assert fw.delete_above(we.project(e, n + 1), n) == we.project(e, n)
 
 
+def test_projection_tower_matches_each_level_fuzzed():
+    rng = make_rng(506)
+    for _ in range(100):
+        e = random_expr(rng)
+        n = rng.randint(0, 14)
+        assert we.projection_tower(e, n) == [we.project(e, k) for k in range(1, n + 1)]
+
+
 def test_project_concat_of_products():
     e = we.Concat((we.ell_infinity(), we.Inverse(we.ell_infinity())))
     for n in range(1, 8):
@@ -167,6 +177,41 @@ def test_equal_up_to_reflexive_and_trivial():
     assert we.equal_up_to(
         we.Concat((we.Letter(1, 1), we.Inverse(we.Letter(1, 1)))), we.identity_expr(), 10
     ).equal
+
+
+def _equality_pairs(rng):
+    """Seeded pairs: unrelated, reflexive, omega against tau, rearranged, swapped."""
+    for _ in range(40):
+        yield random_expr(rng), random_expr(rng)
+        e = random_expr(rng)
+        yield e, we.Inverse(we.Inverse(e))
+        spec = random_product(rng).spec
+        yield we.OmegaProd(spec), we.TauProd(spec)
+        p = random_product(rng)
+        yield p, we.apply_bijection(p, random_bijection(rng))
+        yield swapped_pair(rng)
+
+
+def test_equal_up_to_matches_level_by_level_oracle_fuzzed():
+    rng = make_rng(507)
+    witnesses = set()
+    for a, b in _equality_pairs(rng):
+        n_max = rng.randint(0, 16)
+        got = we.equal_up_to(a, b, n_max)
+        # dataclass equality compares equal, witness_level, left and right
+        assert got == equal_up_to_by_levels(a, b, n_max), (a, b, n_max)
+        witnesses.add(got.witness_level)
+    # both verdicts and a spread of witness levels were exercised
+    assert None in witnesses and len(witnesses) > 6
+
+
+def test_equal_up_to_swapped_letters_witness():
+    a = we.OmegaProd(we.SeqSpec((we.Letter(3), we.Letter(7)), we.Trivial()))
+    b = we.OmegaProd(we.SeqSpec((we.Letter(7), we.Letter(3)), we.Trivial()))
+    result = we.equal_up_to(a, b, 20)
+    assert (result.witness_level, str(result.left), str(result.right)) == (7, "l3 l7", "l7 l3")
+    assert we.equal_up_to(a, b, 6).equal
+    assert we.equal_up_to(a, b, 0).equal
 
 
 # ---------------------------------------------------------------------------
