@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input error, 2 a conclusive negative verdict
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -430,20 +431,7 @@ def cmd_wedge(ns) -> int:
             if not 1 <= gen <= gens:
                 raise InputError(f"letter {letter} maps to missing generator {gen} in block {k}")
             coords[gen - 1] += v.at(letter)
-        if relators:
-            s, _, v_mat = specker.smith_normal_form(relators)
-            diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
-            transformed = [
-                sum(coords[i] * v_mat[i][j] for i in range(gens)) for j in range(gens)
-            ]
-            reduced = [
-                transformed[j] % diag[j] if j < len(diag) and diag[j] > 0 else transformed[j]
-                for j in range(gens)
-            ]
-            rank, torsion = specker.h1_from_presentation(relators, gens)
-        else:
-            reduced = coords
-            rank, torsion = gens, []
+        rank, torsion, reduced = specker.h1_image(relators, gens, coords)
         out_blocks.append(
             {"block": k, "free_rank": rank, "torsion": torsion, "image": reduced}
         )
@@ -460,7 +448,9 @@ def cmd_wedge(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tauword`` parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="tauword",
         description="Exact computations with infinite and transfinite word concatenations.",

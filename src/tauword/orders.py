@@ -1,10 +1,16 @@
-"""Exact rational arithmetic for the middle-third complementary intervals.
+"""Middle-third complementary intervals, ordered by exact dyadic keys.
 
 The open intervals removed when building the middle-third Cantor set form a
 countable dense linear order (order type of the rationals).  Component k of
 level n has length 3^-n; enumerating levels in order and slots left to right
 gives the pairing m <-> (level, slot) with m = 2^(level-1) + slot - 1 used to
 place the factors of a transfinite concatenation.
+
+Only the order of the components matters, and the Cantor function maps
+component m of level L = m.bit_length() order-isomorphically onto the dyadic
+rational (2m+1)/2^L - 1.  Every comparison and placement is decided on the
+dyadic keys (2m+1)/2^L with integer arithmetic; the ternary endpoints ``lo``
+and ``hi`` of a component are exact but serve only for display.
 
 Also provides canonical order embeddings of the supported countable orders
 into the components, and extension of a bijection between two embedded
@@ -20,18 +26,29 @@ from typing import Callable, Optional, Sequence, Union
 
 @dataclass(frozen=True, slots=True, order=False)
 class CantorComponent:
-    """Removed open interval I(level, slot) with exact rational endpoints."""
+    """Removed open interval I(level, slot); its position is its dyadic key."""
 
     level: int
     slot: int
-    lo: Fraction
-    hi: Fraction
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(3 * self._parent_left() + 1, 3**self.level)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(3 * self._parent_left() + 2, 3**self.level)
+
+    def _parent_left(self) -> int:
+        # left end of the parent closed interval times 3^(level-1): its
+        # ternary digits are in {0, 2}, spelled by the binary expansion of slot-1
+        return int(format(self.slot - 1, "b").replace("1", "2"), 3)
 
     def __lt__(self, other: "CantorComponent") -> bool:
-        return self.lo < other.lo
+        return compare(theta_inv(self), theta_inv(other)) < 0
 
     def __le__(self, other: "CantorComponent") -> bool:
-        return self.lo <= other.lo
+        return compare(theta_inv(self), theta_inv(other)) <= 0
 
     def __str__(self) -> str:
         return f"I({self.level},{self.slot}) = ({self.lo}, {self.hi})"
@@ -41,30 +58,19 @@ def component(level: int, slot: int) -> CantorComponent:
     """The slot-th removed interval of the given level, counted left to right."""
     if level < 1 or not 1 <= slot <= 2 ** (level - 1):
         raise ValueError(f"no component at level {level}, slot {slot}")
-    base = _base_of_slot(level, slot)
-    third = Fraction(1, 3**level)
-    return CantorComponent(level, slot, base + third, base + 2 * third)
+    return CantorComponent(level, slot)
 
 
-def _base_of_slot(level: int, slot: int) -> Fraction:
-    # left endpoint of the parent closed interval: ternary digits in {0, 2}
-    # given by the binary expansion of slot-1, most significant first
-    base = Fraction(0)
-    bits = level - 1
-    rem = slot - 1
-    for i in range(1, bits + 1):
-        if rem >> (bits - i) & 1:
-            base += Fraction(2, 3**i)
-    return base
+def _level(m: int) -> int:
+    if m < 1:
+        raise ValueError("component numbers start at 1")
+    return m.bit_length()
 
 
 def theta(m: int) -> CantorComponent:
     """Component number m in the level-major enumeration."""
-    if m < 1:
-        raise ValueError("component numbers start at 1")
-    level = m.bit_length()
-    slot = m - 2 ** (level - 1) + 1
-    return component(level, slot)
+    level = _level(m)
+    return CantorComponent(level, m - (1 << (level - 1)) + 1)
 
 
 def theta_inv(c: CantorComponent) -> int:
@@ -75,65 +81,41 @@ def compare(m1: int, m2: int) -> int:
     """-1, 0, or 1 as component m1 lies left of, equals, or lies right of m2."""
     if m1 == m2:
         return 0
-    return -1 if theta(m1).lo < theta(m2).lo else 1
+    # cross-multiplied dyadic keys (2m+1) / 2^L
+    a = (2 * m1 + 1) << _level(m2)
+    b = (2 * m2 + 1) << _level(m1)
+    return -1 if a < b else 1
 
 
 def position_key(m: int) -> Fraction:
-    """Sort key ordering component numbers by position in the unit interval."""
-    return theta(m).lo
+    """Sort key ordering component numbers by position: the dyadic (2m+1)/2^L."""
+    return Fraction(2 * m + 1, 1 << _level(m))
 
 
-def least_component_in(
-    lo: Optional[Fraction], hi: Optional[Fraction], max_level: int = 100000
-) -> CantorComponent:
-    """Smallest-numbered component contained in [lo, hi] (None = 0 resp. 1).
+def _scaled_keys(ms: Sequence[int]) -> list[int]:
+    """The keys (2m+1)/2^L of the components ms, as integers on one scale 2^k."""
+    k = max((m.bit_length() for m in ms), default=0)
+    return [(2 * m + 1) << (k - m.bit_length()) for m in ms]
 
-    Levels are searched in order, and within a level the leftmost admissible
-    slot is found arithmetically (smallest base >= lo - 3^-n with ternary
-    digits in {0, 2}), so deeply nested placements do not require scanning.
+
+def least_component_in(lower: Optional[int], upper: Optional[int]) -> int:
+    """Smallest component number strictly between components lower and upper.
+
+    None stands for the left resp. right end of [0, 1], whose keys are 1 and
+    2.  The answer is the key with the smallest denominator strictly between
+    the two keys.  On a common scale 2^k with one spare bit, the candidate
+    numerators are x+1 .. y, and the one with the most trailing zero bits is
+    y with every bit below the highest bit where x and y differ cleared.
+    That bit is set in y, so y shifted down to it is the odd numerator 2m+1,
+    and one more shift gives m.
     """
-    x = lo if lo is not None else Fraction(0)
-    y = hi if hi is not None else Fraction(1)
-    width = y - x
-    if width <= 0:
-        raise ValueError(f"empty interval [{x}, {y}]")
-    start = 1
-    while Fraction(1, 3**start) > width and start <= max_level:
-        start += 1  # a level-n component needs room of width 3^-n
-    for level in range(start, max_level + 1):
-        third = Fraction(1, 3**level)
-        base = _min_base_geq(x - third, level - 1)
-        if base is not None and base + 2 * third <= y:
-            slot = _slot_of_base(base, level)
-            return component(level, slot)
-    raise RuntimeError(f"no component found in [{x}, {y}] up to level {max_level}")
-
-
-def _min_base_geq(target: Fraction, digits: int) -> Optional[Fraction]:
-    # minimal sum of d_i / 3^i, d_i in {0, 2}, i = 1..digits, that is >= target
-    if target <= 0:
-        return Fraction(0)
-    base = Fraction(0)
-    rem = target
-    for i in range(1, digits + 1):
-        tail_max = Fraction(1, 3**i) - Fraction(1, 3**digits)  # all-2 suffix
-        if rem <= tail_max:
-            continue  # digit 0 suffices
-        base += Fraction(2, 3**i)
-        rem -= Fraction(2, 3**i)
-    return base if rem <= 0 else None
-
-
-def _slot_of_base(base: Fraction, level: int) -> int:
-    bits = level - 1
-    rem = base
-    slot = 0
-    for i in range(1, bits + 1):
-        slot <<= 1
-        if rem >= Fraction(2, 3**i):
-            slot |= 1
-            rem -= Fraction(2, 3**i)
-    return slot + 1
+    a, la = (1, 0) if lower is None else (2 * lower + 1, _level(lower))
+    b, lb = (2, 0) if upper is None else (2 * upper + 1, _level(upper))
+    k = max(la, lb) + 1
+    x, y = a << (k - la), (b << (k - lb)) - 1
+    if x >= y:
+        raise ValueError(f"no component between components {lower} and {upper}")
+    return y >> (x ^ y).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +236,7 @@ def _stern_rational(n: int) -> Fraction:
     return Fraction(_fusc(n), _fusc(n + 1))
 
 
-_SENTINEL_HI = Fraction(1, 3)  # images stay strictly left of component 1
+_CEILING = 1  # component 1 = (1/3, 2/3) bounds every image above
 
 
 class Embedding:
@@ -262,7 +244,7 @@ class Embedding:
 
     Elements are placed in index order; element i goes to the least-numbered
     component fitting strictly between the images of its already-placed
-    neighbours, with the fixed ceiling component(1, 1) = (1/3, 2/3) as a
+    neighbours, with the fixed ceiling component 1 = (1/3, 2/3) as a
     global upper bound.  The ceiling keeps images of upper-unbounded sources
     bounded above by a component.  Deterministic and memoized; placing index
     n touches only the n-1 earlier placements.
@@ -274,7 +256,6 @@ class Embedding:
     def __init__(self, spec: OrderSpec):
         self.spec = spec
         self._images: list[int] = []  # component number of source index i at i-1
-        self._components: list[CantorComponent] = []
         self._membership: dict[int, Optional[int]] = {}
 
     def ensure(self, count: int) -> None:
@@ -285,27 +266,20 @@ class Embedding:
 
     def _place_next(self) -> None:
         i = len(self._images) + 1
-        lower: Optional[CantorComponent] = None
-        upper: Optional[CantorComponent] = None
-        for j in range(1, i):
-            c = self._components[j - 1]
+        keys = _scaled_keys(self._images)
+        left: list[tuple[int, int]] = []  # (key, component number)
+        right: list[tuple[int, int]] = []
+        for j, pair in enumerate(zip(keys, self._images), start=1):
             side = self.spec.cmp(j, i)
-            if side < 0 and (lower is None or c.lo > lower.lo):
-                lower = c
-            elif side > 0 and (upper is None or c.lo < upper.lo):
-                upper = c
-            elif side == 0:
+            if side == 0:
                 raise ValueError(f"source indices {j} and {i} compare equal")
-        x = lower.hi if lower is not None else None
-        y = upper.lo if upper is not None else _SENTINEL_HI
-        placed = least_component_in(x, y)
-        self._images.append(theta_inv(placed))
-        self._components.append(placed)
+            (left if side < 0 else right).append(pair)
+        lower = max(left)[1] if left else None
+        upper = min(right)[1] if right else _CEILING
+        self._images.append(least_component_in(lower, upper))
 
     def __call__(self, i: int) -> CantorComponent:
-        self.spec.check_index(i)
-        self.ensure(i)
-        return self._components[i - 1]
+        return theta(self.image_index(i))
 
     def image_index(self, i: int) -> int:
         """Component number of the image of source index i."""
@@ -329,8 +303,7 @@ class Embedding:
         return result
 
     def _decide_membership(self, m: int, max_steps: int) -> Optional[int]:
-        target = theta(m)
-        if target.hi > _SENTINEL_HI:
+        if compare(m, _CEILING) >= 0:
             return None  # images live strictly left of the ceiling
         for i, img in enumerate(self._images, start=1):
             if img == m:
@@ -343,28 +316,27 @@ class Embedding:
                     return i
             return None
         for _ in range(max_steps):
-            if self._excluded(target):
+            if self._excluded(m):
                 return None
             self._place_next()
             if self._images[-1] == m:
                 return len(self._images)
         raise RuntimeError(f"membership of component {m} undecided after {max_steps} steps")
 
-    def _excluded(self, target: CantorComponent) -> bool:
-        images = self._components
-        if not images:
+    def _excluded(self, m: int) -> bool:
+        if not self._images:
             return False
+        *keys, target = _scaled_keys([*self._images, m])
         spec = self.spec
         if isinstance(spec, Omega):
-            return max(images).lo > target.lo
+            return max(keys) > target
         if isinstance(spec, IntegersZeta):
-            return min(images).lo < target.lo < max(images).lo
+            return min(keys) < target < max(keys)
         if isinstance(spec, OmegaPlusOmega):
-            first = [c for i, c in enumerate(images, start=1) if i % 2 == 1]
-            second = [c for i, c in enumerate(images, start=1) if i % 2 == 0]
-            if first and target.lo < max(first).lo:
+            first, second = keys[0::2], keys[1::2]
+            if first and target < max(first):
                 return True  # below the first copy's ascending frontier
-            if len(second) >= 2 and second[0].lo < target.lo < max(second).lo:
+            if len(second) >= 2 and second[0] < target < max(second):
                 return True  # strictly inside the second copy's span
             return False
         if isinstance(spec, Rationals):

@@ -327,6 +327,24 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     best = (i, j)
         return best
 
+    def reduce_pair(t):
+        # gcd-reduce the block rows/cols t, t+1 after column t gained an entry
+        while True:
+            if s[t + 1][t] != 0:
+                q = s[t + 1][t] // s[t][t] if s[t][t] != 0 else 0
+                if s[t][t] != 0:
+                    add_row(t, t + 1, -q)
+                if s[t + 1][t] != 0:
+                    swap_rows(t, t + 1)
+                    continue
+            if s[t][t + 1] != 0:
+                q = s[t][t + 1] // s[t][t]
+                add_col(t, t + 1, -q)
+                if s[t][t + 1] != 0:
+                    swap_cols(t, t + 1)
+                    continue
+            break
+
     t = 0
     while t < min(rows, cols):
         pos = pivot_search(t)
@@ -387,7 +405,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 add_col(i + 1, i, 1)  # puts a_j into column i of row i+1
                 g = gcd(a_i, a_j)
                 # re-reduce the 2x2 block with explicit operations
-                _reduce_pair(s, u, v, i)
+                reduce_pair(i)
                 if s[i][i] != g:
                     raise RuntimeError(f"diagonal entry {i} is {s[i][i]}, not gcd {g}")
                 changed = True
@@ -402,67 +420,40 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return s, u, v
 
 
-def _reduce_pair(s: Matrix, u: Matrix, v: Matrix, t: int) -> None:
-    # gcd-reduce the block rows/cols t, t+1 after column t gained an entry
-    rows, cols = len(s), len(s[0])
-
-    def add_row(src, dst, c):
-        for j in range(cols):
-            s[dst][j] += c * s[src][j]
-        for j in range(rows):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(src, dst, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    while True:
-        if s[t + 1][t] != 0:
-            q = s[t + 1][t] // s[t][t] if s[t][t] != 0 else 0
-            if s[t][t] != 0:
-                add_row(t, t + 1, -q)
-            if s[t + 1][t] != 0:
-                swap_rows(t, t + 1)
-                continue
-        if s[t][t + 1] != 0:
-            q = s[t][t + 1] // s[t][t]
-            add_col(t, t + 1, -q)
-            if s[t][t + 1] != 0:
-                swap_cols(t, t + 1)
-                continue
-        break
-
-
-def smith_diagonal(a: Matrix) -> list[int]:
-    s, _, _ = smith_normal_form(a)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
-
-
 def h1_from_presentation(relators: Matrix, generators: int | None = None) -> tuple[int, list[int]]:
     """Structure of Z^g modulo the row lattice of the relator matrix.
 
     Returns (free rank, nontrivial invariant factors).  ``generators``
     defaults to the column count and must be given for an empty relator list.
     """
-    if not relators:
-        if generators is None:
+    if generators is None:
+        if not relators:
             raise ValueError("generator count required with no relators")
-        return generators, []
-    g = len(relators[0])
-    if generators is not None and generators != g:
-        raise ValueError(f"relator width {g} != declared generators {generators}")
-    d = smith_diagonal(relators)
-    nonzero = [x for x in d if x != 0]
-    return g - len(nonzero), [x for x in nonzero if x != 1]
+        generators = len(relators[0])
+    rank, torsion, _ = h1_image(relators, generators, [0] * generators)
+    return rank, torsion
+
+
+def h1_image(
+    relators: Matrix, generators: int, x: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
+    """Z^generators modulo the relator rows, and the class of x in it.
+
+    Returns (free rank, nontrivial invariant factors, image).  With
+    U*A*V = S the Smith normal form of the relator matrix A, the image is
+    x*V with coordinate j reduced modulo the diagonal entry d_j when d_j > 0;
+    one Smith normal form gives all three.
+    """
+    if len(x) != generators:
+        raise ValueError(f"vector of length {len(x)} for {generators} generators")
+    for row in relators:
+        if len(row) != generators:
+            raise ValueError(f"relator width {len(row)} != declared generators {generators}")
+    if not relators:
+        return generators, [], list(x)
+    s, _, v = smith_normal_form(relators)
+    diag = [s[i][i] for i in range(min(len(relators), generators))]
+    image = [sum(x[i] * v[i][j] for i in range(generators)) for j in range(generators)]
+    image = [c % diag[j] if j < len(diag) and diag[j] > 0 else c for j, c in enumerate(image)]
+    nonzero = [d for d in diag if d != 0]
+    return generators - len(nonzero), [d for d in nonzero if d != 1], image

@@ -272,6 +272,14 @@ def test_wedge_letter_outside_map(tmp_path, capsys):
     assert code == 1 and "outside the declared map" in err
 
 
+def test_wedge_relator_width_mismatch_is_input_error(tmp_path, capsys):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"blocks": [{"generators": 2, "relators": [[3]]}]}))
+    code, out, err = run(capsys, "wedge", "--presentations", str(path), "--builtin", "ell_tau", "--blocks", "1")
+    assert code == 1 and out == ""
+    assert "relator width 1" in err and "Traceback" not in err
+
+
 SAMPLES = Path(__file__).parent.parent / "samples"
 
 
@@ -419,3 +427,27 @@ def test_factor_report_matches_level_by_level_oracle(capsys, source, depth):
     expected = factor_report_by_levels(_expr_of(source), depth)
     assert code == (0 if json.loads(expected)["projections_match"] else 2)
     assert out == expected
+
+
+def test_parser_built_once_without_state_leaking_between_calls(tmp_path, capsys):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(we.to_json(we.ell_tau())))
+    calls = [
+        ["project", "--builtin", "ell_tau", "--n", "4", "--seed", "3", "--format", "json"],
+        ["project", "--expr", str(path), "--n", "4", "--format", "json"],
+        ["equal", "--expr", str(path), "--builtin", "ell_infinity", "--depth", "3", "--format", "json"],
+        ["equal", "--builtin", "ell_infinity", "--builtin", "ell_infinity"],
+        ["equal", "--builtin", "ell_tau"],  # one expression: input error
+        ["eta", "--builtin", "ell_infinity", "--expr", str(path)],  # two expressions: input error
+        ["orders", "embed", "zeta", "--count", "4", "--format", "json"],
+        ["orders", "compare", "2", "3"],
+        ["shuffle", "--builtin", "ell_infinity", "--named", "eh_shuffle", "--depth", "3"],
+        ["shuffle", "--builtin", "ell_infinity", "--depth", "3"],  # no bijection: input error
+        ["eta", "--builtin", "ell_tau", "--format", "json"],
+    ]
+    cli.build_parser.cache_clear()
+    warm = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    for argv, got in zip(calls, warm):
+        cli.build_parser.cache_clear()  # the reference run gets a fresh parser
+        assert run(capsys, *argv) == got, argv

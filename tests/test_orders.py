@@ -85,19 +85,65 @@ def brute_force_least(lo, hi, max_m=4096):
 
 
 def test_least_component_in_against_brute_force():
+    # bounds are neighbouring component numbers (None = an end of [0, 1]),
+    # the only bounds Embedding ever passes
     rng = make_rng(301)
     for _ in range(250):
-        den = 3 ** rng.randint(1, 5)
-        a = Fraction(rng.randint(0, den - 1), den)
-        b = a + Fraction(rng.randint(1, den), den)
-        if b > 1:
-            b = Fraction(1)
-        expected = brute_force_least(a, b)
-        if expected is None:
-            continue
-        assert orders.least_component_in(a, b) == expected
-    assert orders.least_component_in(None, None) == orders.theta(1)
-    assert orders.least_component_in(None, SENTINEL) == orders.theta(2)
+        p, q = sorted(rng.sample(range(1, 256), 2), key=address_string)
+        end = rng.randrange(4)
+        if end == 1:
+            p = None
+        elif end == 2:
+            q = None
+        lower_lo = orders.theta(p).hi if p is not None else None
+        upper_hi = orders.theta(q).lo if q is not None else None
+        expected = brute_force_least(lower_lo, upper_hi)
+        assert orders.least_component_in(p, q) == orders.theta_inv(expected), (p, q)
+    assert orders.theta(orders.least_component_in(None, None)) == orders.theta(1)
+    assert orders.theta(orders.least_component_in(None, 1)) == orders.theta(2)
+    for p, q in ((3, 2), (5, 5), (0, 1)):
+        with pytest.raises(ValueError):
+            orders.least_component_in(p, q)
+
+
+def ternary_endpoints(m):
+    """(lo, hi) of component m summed from its ternary address, digit by digit."""
+    lo = sum(Fraction(int(d), 3**i) for i, d in enumerate(address_string(m), start=1))
+    return lo, lo + Fraction(1, 3 ** m.bit_length())
+
+
+def test_deep_levels_against_address_oracle():
+    rng = make_rng(305)
+    for _ in range(200):
+        level = rng.randint(30, 64)
+        m = rng.randrange(1 << (level - 1), 1 << level)
+        c = orders.theta(m)
+        assert (c.lo, c.hi) == ternary_endpoints(m)
+        depth = rng.randint(1, 8)
+        others = [
+            rng.randrange(1 << (rng.randint(30, 64) - 1), 1 << 64),
+            m ^ 1,  # sibling: the parent lies between
+            (m << depth) | rng.randrange(1 << depth),  # a descendant
+            m >> depth,  # an ancestor
+        ]
+        for other in others:
+            a, b = address_string(m), address_string(other)
+            assert orders.compare(m, other) == (a > b) - (a < b)
+            p, q = (m, other) if a < b else (other, m)
+            for lower, upper in ((p, q), (None, q), (p, None)):
+                lo = address_string(lower) if lower is not None else ""
+                hi = address_string(upper) if upper is not None else "3"
+
+                def between(r):
+                    return lo < address_string(r) < hi
+
+                r = orders.least_component_in(lower, upper)
+                assert between(r), (lower, upper, r)
+                # no proper tree ancestor lies between, so r is the least
+                k = 1
+                while r >> k:
+                    assert not between(r >> k), (lower, upper, r, k)
+                    k += 1
 
 
 ALL_SPECS = [

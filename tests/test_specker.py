@@ -259,6 +259,45 @@ def test_h1_examples():
     assert sp.h1_from_presentation([[0, 0]]) == (2, [])
 
 
+def test_h1_image_examples_and_width_checks():
+    assert sp.h1_image([], 2, [1, -1]) == (2, [], [1, -1])
+    assert sp.h1_image([[2]], 1, [3]) == (0, [2], [1])
+    assert sp.h1_image([[0, 0]], 2, [4, 5]) == (2, [], [4, 5])
+    with pytest.raises(ValueError, match="relator width 1"):
+        sp.h1_image([[3]], 2, [0, 0])
+    with pytest.raises(ValueError, match="relator width 1"):
+        sp.h1_image([[2, 4], [6]], 2, [0, 0])
+    with pytest.raises(ValueError, match="length 2 for 1 generators"):
+        sp.h1_image([[3]], 1, [1, 2])
+    with pytest.raises(ValueError, match="relator width 1"):
+        sp.h1_from_presentation([[3]], generators=2)
+
+
+def test_h1_image_is_the_quotient_map(monkeypatch):
+    # the image is constant on cosets of the relator lattice, and rank and
+    # torsion agree with the determinantal divisors; one SNF per call
+    calls = []
+    snf = sp.smith_normal_form
+    monkeypatch.setattr(sp, "smith_normal_form", lambda a: calls.append(1) or snf(a))
+    rng = make_rng(213)
+    for _ in range(150):
+        a = random_matrix(rng, max_dim=4, bound=5)
+        g = len(a[0])
+        x = [rng.randint(-9, 9) for _ in range(g)]
+        r = [rng.randint(-3, 3) for _ in range(len(a))]
+        shifted = [x[j] + sum(r[i] * a[i][j] for i in range(len(a))) for j in range(g)]
+        calls.clear()
+        rank, torsion, image = sp.h1_image(a, g, x)
+        assert len(calls) == 1
+        factors = invariant_factors_by_minors(a)
+        assert (rank, torsion) == (g - len(factors), [f for f in factors if f > 1])
+        assert sp.h1_image(a, g, shifted)[2] == image
+        relator_sum = [sum(r[i] * a[i][j] for i in range(len(a))) for j in range(g)]
+        assert sp.h1_image(a, g, relator_sum)[2] == [0] * g
+        if rank == g:  # no relation has any effect
+            assert image == [sum(x[i] * v for i, v in enumerate(col)) for col in zip(*snf(a)[2])]
+
+
 def cokernel_structure_by_enumeration(a):
     """Brute-force oracle for a full-rank 3x3 relator matrix.
 
