@@ -7,16 +7,21 @@ free monoid; the length-n stage carries the quotient topology from the n-th
 power of the model, where a tuple maps to the word obtained by dropping
 basepoint entries.
 
-Everything here is exhaustive and exact: fibers are enumerated, standard
-neighbourhoods are built as unions of boxes, saturation is checked against
-the fiber partition, and the quotient topology is compared with the subspace
-topology induced from higher stages via minimal open sets.
+Everything here is exhaustive and exact.  One bitmask engine does the tuple
+work: ``stage_tables`` builds a stage once (tuple i of the n-th power is bit
+i, with fiber masks and per-slot masks of every open set), and each standard
+neighbourhood is an OR of ANDs of slot masks, checked for saturation against
+the fiber masks.  The quotient topology is compared with the subspace
+topology induced from higher stages via minimal open sets.  The set-based
+fiber, neighbourhood and saturation routines live in the tests as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
@@ -25,22 +30,12 @@ class ModelError(ValueError):
     pass
 
 
-class SpecMismatchError(ValueError):
-    """A standard-neighbourhood spec does not fit the word."""
-
-
 class SizeBoundError(ValueError):
     """Model or stage exceeds the exhaustive-check bounds."""
 
 
-class EmptyFiberError(ValueError):
-    """Requested ambient length is shorter than the word."""
-
-
 Word = tuple[str, ...]
 Tuple_ = tuple[str, ...]
-
-EMPTY_WORD: Word = ()
 
 
 @dataclass(frozen=True)
@@ -51,28 +46,29 @@ class FiniteSpaceModel:
     base: str
     le: frozenset[tuple[str, str]]  # reflexive-transitive order relation
 
+    @cached_property
+    def _ups(self) -> dict[str, frozenset[str]]:
+        """The up-set of every point, computed once per model."""
+        return {x: frozenset(y for y in self.points if (x, y) in self.le) for x in self.points}
+
     def up(self, x: str) -> frozenset[str]:
-        return frozenset(y for y in self.points if (x, y) in self.le)
+        return self._ups[x]
 
     def down(self, x: str) -> frozenset[str]:
-        return frozenset(y for y in self.points if (y, x) in self.le)
+        return frozenset(y for y, ups in self._ups.items() if x in ups)
 
     def letters(self) -> tuple[str, ...]:
         return tuple(p for p in self.points if p != self.base)
 
     def opens(self) -> list[frozenset[str]]:
         """All open sets (up-sets), smallest first."""
-        out = []
         pts = self.points
-        for bits in range(1 << len(pts)):
-            s = frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
-            if all(self.up(x) <= s for x in s):
-                out.append(s)
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
+        subsets = (frozenset(p for i, p in enumerate(pts) if bits >> i & 1) for bits in range(1 << len(pts)))
+        return sorted(filter(self.is_open, subsets), key=lambda s: (len(s), sorted(s)))
 
     def is_open(self, s) -> bool:
         s = frozenset(s)
-        return s <= frozenset(self.points) and all(self.up(x) <= s for x in s)
+        return s <= self._ups.keys() and all(self._ups[x] <= s for x in s)
 
     @property
     def is_t1(self) -> bool:
@@ -146,7 +142,7 @@ def render_model(m: FiniteSpaceModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Words, the quotient maps, fibers
+# Words and the quotient maps
 # ---------------------------------------------------------------------------
 
 
@@ -168,69 +164,6 @@ def words_up_to(m: FiniteSpaceModel, n: int) -> list[Word]:
     for length in range(n + 1):
         out.extend(itertools.product(letters, repeat=length))
     return out
-
-
-def fiber(m: FiniteSpaceModel, w: Word, n: int) -> set[Tuple_]:
-    """All n-tuples mapping to w: insert n - |w| basepoint entries."""
-    if n < len(w):
-        raise EmptyFiberError(f"ambient length {n} < word length {len(w)}")
-    out = set()
-    for positions in itertools.combinations(range(n), len(w)):
-        t = [m.base] * n
-        for p, letter in zip(positions, w):
-            t[p] = letter
-        out.add(tuple(t))
-    return out
-
-
-def standard_nbhd(
-    m: FiniteSpaceModel,
-    w: Word,
-    letter_opens: Sequence,
-    base_open,
-    n: int,
-) -> tuple[frozenset[Tuple_], frozenset[Word]]:
-    """Union of product boxes over the fiber of w, and its word image.
-
-    letter_opens[j] is an open set containing w[j] but not the basepoint;
-    base_open is an open set containing the basepoint and fills the
-    remaining slots.
-    """
-    us = [frozenset(u) for u in letter_opens]
-    v = frozenset(base_open)
-    if len(us) != len(w):
-        raise SpecMismatchError(f"{len(us)} opens for a word of length {len(w)}")
-    if n < len(w):
-        raise SpecMismatchError(f"ambient length {n} < word length {len(w)}")
-    for j, u in enumerate(us):
-        if not m.is_open(u):
-            raise SpecMismatchError(f"U_{j + 1} is not open")
-        if m.base in u:
-            raise SpecMismatchError(f"U_{j + 1} contains the basepoint")
-        if w[j] not in u:
-            raise SpecMismatchError(f"letter {w[j]!r} not in U_{j + 1}")
-    if not m.is_open(v):
-        raise SpecMismatchError("V is not open")
-    if m.base not in v:
-        raise SpecMismatchError("V does not contain the basepoint")
-    tuples: set[Tuple_] = set()
-    for positions in itertools.combinations(range(n), len(w)):
-        slots: list[frozenset[str]] = [v] * n
-        for j, p in enumerate(positions):
-            slots[p] = us[j]
-        tuples.update(itertools.product(*slots))
-    n_set = frozenset(tuples)
-    return n_set, frozenset(q_tuple(m, t) for t in n_set)
-
-
-def check_saturated(m: FiniteSpaceModel, tuples, n: int) -> bool:
-    """True iff the tuple set is a union of fibers of the length-n quotient."""
-    tuples = frozenset(tuples)
-    image = {q_tuple(m, t) for t in tuples}
-    preimage: set[Tuple_] = set()
-    for w in image:
-        preimage.update(fiber(m, w, n))
-    return preimage == tuples
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +223,8 @@ def stage_closed_in_next(m: FiniteSpaceModel, n: int) -> bool:
     Equivalent to the set of basepoint-free (n+1)-tuples being an up-set,
     checked exhaustively.
     """
-    letters = m.letters()
-    for t in itertools.product(letters, repeat=n + 1):
-        for i, x in enumerate(t):
-            for y in m.up(x):
-                if y == m.base:
-                    return False
-    return True
+    tuples = itertools.product(m.letters(), repeat=n + 1)
+    return not any(m.base in m.up(x) for t in tuples for x in t)
 
 
 @dataclass(frozen=True)
@@ -355,7 +283,7 @@ def topologies_agree(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive model enumeration (for sweeps) and fast saturation checks
+# Exhaustive model enumeration (for sweeps)
 # ---------------------------------------------------------------------------
 
 _POINT_NAMES = ("e", "a", "b", "c")
@@ -399,53 +327,69 @@ def canonical_key(m: FiniteSpaceModel):
     return best
 
 
-@dataclass
-class _StageTables:
-    """Bitmask tables for one (model, ambient length) pair."""
+# ---------------------------------------------------------------------------
+# The bitmask stage engine: standard neighbourhoods and their saturation
+# ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Stage:
+    """The length-<=n stage of one model as bitmasks: tuple i of the n-th power is bit i."""
+
+    model: FiniteSpaceModel
+    n: int
+    opens: list[frozenset[str]]
+    base_opens: list[frozenset[str]]
     tuples: list[Tuple_]
     word_of: list[Word]
     fiber_mask: dict[Word, int]
-    slot_masks: list[dict[frozenset[str], int]] = field(default_factory=list)
+    slot_masks: list[dict[frozenset[str], int]]  # slot -> open -> tuples with that slot in it
 
 
-def stage_tables(m: FiniteSpaceModel, n: int) -> _StageTables:
+def stage_tables(m: FiniteSpaceModel, n: int) -> Stage:
+    """Build the stage of ambient length n once; every neighbourhood check reads it."""
     tuples = list(itertools.product(m.points, repeat=n))
-    word_of = [q_tuple(m, t) for t in tuples]
+    word_of = [tuple(x for x in t if x != m.base) for t in tuples]
     fiber_mask: dict[Word, int] = {}
     for i, w in enumerate(word_of):
-        fiber_mask[w] = fiber_mask.get(w, 0) | (1 << i)
-    tables = _StageTables(tuples, word_of, fiber_mask)
+        fiber_mask[w] = fiber_mask.get(w, 0) | 1 << i
     opens = m.opens()
-    for slot in range(n):
-        masks: dict[frozenset[str], int] = {}
-        for o in opens:
-            mask = 0
-            for i, t in enumerate(tuples):
-                if t[slot] in o:
-                    mask |= 1 << i
-            masks[o] = mask
-        tables.slot_masks.append(masks)
-    return tables
+    return Stage(
+        model=m,
+        n=n,
+        opens=opens,
+        base_opens=[o for o in opens if m.base in o],
+        tuples=tuples,
+        word_of=word_of,
+        fiber_mask=fiber_mask,
+        slot_masks=[
+            {o: sum(1 << i for i, t in enumerate(tuples) if t[slot] in o) for o in opens}
+            for slot in range(n)
+        ],
+    )
 
 
-def nbhd_mask(tables: _StageTables, w: Word, us: Sequence[frozenset[str]], v: frozenset[str], n: int) -> int:
+def nbhd_mask(tables: Stage, w: Word, us: Sequence[frozenset[str]], v: frozenset[str]) -> int:
+    """The standard neighbourhood of w with letter opens us and basepoint open v.
+
+    It is the union, over the positions of the letters of w among the n
+    slots, of the box with U_j at the j-th letter's slot and V elsewhere.
+    """
+    everything = (1 << len(tables.tuples)) - 1
     mask = 0
-    for positions in itertools.combinations(range(n), len(w)):
-        box = (1 << len(tables.tuples)) - 1
-        pos_set = set(positions)
-        j = 0
-        for slot in range(n):
-            if slot in pos_set:
-                box &= tables.slot_masks[slot][us[j]]
-                j += 1
-            else:
-                box &= tables.slot_masks[slot][v]
+    for positions in itertools.combinations(range(tables.n), len(w)):
+        slots = [v] * tables.n
+        for p, u in zip(positions, us):
+            slots[p] = u
+        box = everything
+        for masks, o in zip(tables.slot_masks, slots):
+            box &= masks[o]
         mask |= box
     return mask
 
 
-def mask_saturated(tables: _StageTables, mask: int) -> bool:
+def mask_saturated(tables: Stage, mask: int) -> bool:
+    """True iff the tuple mask is a union of fibers."""
     acc = 0
     for fmask in tables.fiber_mask.values():
         if fmask & mask:
@@ -453,59 +397,43 @@ def mask_saturated(tables: _StageTables, mask: int) -> bool:
     return acc == mask
 
 
-def sweep_standard_nbhds(m: FiniteSpaceModel, n: int) -> tuple[int, int]:
-    """Check saturation of every standard neighbourhood at ambient length n.
+def word_nbhd_stats(tables: Stage, w: Word) -> dict:
+    """Tabulate every standard neighbourhood of one word in the stage.
 
-    Returns (number checked, number saturated).  'Every' means every word of
-    length <= n over the non-basepoint letters and every choice of opens
-    U_j containing the j-th letter but not the basepoint, V containing the
-    basepoint.
+    'Every' means every choice of opens U_j containing the j-th letter but
+    not the basepoint, and V containing the basepoint.
     """
-    tables = stage_tables(m, n)
-    opens = m.opens()
-    opens_base = [o for o in opens if m.base in o]
-    checked = saturated = 0
-    for w in words_up_to(m, n):
-        per_letter = [[o for o in opens if w[j] in o and m.base not in o] for j in range(len(w))]
-        for us in itertools.product(*per_letter):
-            for v in opens_base:
-                mask = nbhd_mask(tables, w, us, v, n)
-                checked += 1
-                if mask_saturated(tables, mask):
-                    saturated += 1
-    return checked, saturated
-
-
-def word_nbhd_stats(m: FiniteSpaceModel, w: Word, n: int) -> dict:
-    """Tabulate every standard neighbourhood of one word at ambient length n."""
-    tables = stage_tables(m, n)
-    opens = m.opens()
-    per_letter = [[o for o in opens if w[j] in o and m.base not in o] for j in range(len(w))]
-    specs = saturated = 0
-    smallest = largest = None
+    base = tables.model.base
+    per_letter = [[o for o in tables.opens if x in o and base not in o] for x in w]
+    sizes = []
+    saturated = 0
     for us in itertools.product(*per_letter):
-        for v in (o for o in opens if m.base in o):
-            mask = nbhd_mask(tables, w, us, v, n)
-            size = mask.bit_count()
-            specs += 1
+        for v in tables.base_opens:
+            mask = nbhd_mask(tables, w, us, v)
+            sizes.append(mask.bit_count())
             saturated += mask_saturated(tables, mask)
-            smallest = size if smallest is None else min(smallest, size)
-            largest = size if largest is None else max(largest, size)
     return {
-        "specs": specs,
+        "specs": len(sizes),
         "saturated": saturated,
-        "smallest": smallest or 0,
-        "largest": largest or 0,
+        "smallest": min(sizes, default=0),
+        "largest": max(sizes, default=0),
     }
 
 
+def sweep_standard_nbhds(m: FiniteSpaceModel, n: int) -> tuple[int, int]:
+    """Check saturation of every standard neighbourhood at ambient length n.
+
+    Returns (number checked, number saturated), summed by ``word_nbhd_stats``
+    over every word of length <= n on one stage.
+    """
+    tables = stage_tables(m, n)
+    stats = [word_nbhd_stats(tables, w) for w in words_up_to(m, n)]
+    return sum(s["specs"] for s in stats), sum(s["saturated"] for s in stats)
+
+
 def fiber_counts_by_pass(m: FiniteSpaceModel, n: int) -> dict[Word, int]:
-    """Count fiber sizes by a single pass over the full n-th power."""
-    counts: dict[Word, int] = {}
-    for t in itertools.product(m.points, repeat=n):
-        w = q_tuple(m, t)
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+    """Count fiber sizes by a single streaming pass over the full n-th power."""
+    return Counter(tuple(x for x in t if x != m.base) for t in itertools.product(m.points, repeat=n))
 
 
 def expected_fiber_count(n: int, length: int) -> int:

@@ -257,12 +257,30 @@ def is_bijection(phi, bound: int) -> bool:
     return all(m in covered for m in range(1, bound - d + 1))
 
 
-def bijection_from_json(obj: dict) -> BijectionSpec:
+def bijection_from_json(obj) -> BijectionSpec:
+    if not isinstance(obj, dict):
+        raise MalformedBijectionError(f"a bijection must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "finite":
-        return FiniteSupport(tuple(tuple(c) for c in obj["cycles"]))
+        return FiniteSupport(tuple(_int_list(c, "cycle") for c in _list(obj["cycles"], "cycles")))
     if kind == "block":
-        return BlockPermute(obj["period"], tuple(obj["perm"]))
+        period = obj["period"]
+        if type(period) is not int:
+            raise MalformedBijectionError(f"period must be an integer, got {period!r}")
+        return BlockPermute(period, _int_list(obj["perm"], "perm"))
     if kind == "compose":
-        return Compose(tuple(bijection_from_json(p) for p in obj["of"]))
+        return Compose(tuple(bijection_from_json(p) for p in _list(obj["of"], "of")))
     raise MalformedBijectionError(f"unknown bijection kind {kind!r}")
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedBijectionError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    """The entries of a JSON list of integers; floats, strings and bools are rejected."""
+    if any(type(x) is not int for x in _list(value, what)):
+        raise MalformedBijectionError(f"{what} entries must be integers, got {value!r}")
+    return tuple(value)

@@ -629,27 +629,57 @@ def to_json(e: WordExpr) -> dict:
     raise TypeError(f"cannot serialize {type(e).__name__}")
 
 
-def from_json(obj: dict) -> WordExpr:
-    kind = obj.get("type")
+def from_json(obj) -> WordExpr:
+    """Decode canonical JSON strictly; a malformed node raises ``ValidationError``
+    naming its path, such as ``expr.factors[1].index``."""
+    return _decode(obj, "expr")
+
+
+def _decode(obj, path: str) -> WordExpr:
+    node = _json_object(obj, path)
+    kind = node.get("type")
     if kind == "letter":
-        if "index" in obj:
-            return Letter(int(obj["index"]), int(obj.get("exp", 1)))
-        return SymLetter(int(obj["base"]), int(obj["coef"]), int(obj.get("exp", 1)))
+        if "index" in node:
+            return Letter(_json_int(node["index"], f"{path}.index"), _json_int(node.get("exp", 1), f"{path}.exp"))
+        return SymLetter(
+            _json_int(node["base"], f"{path}.base"),
+            _json_int(node["coef"], f"{path}.coef"),
+            _json_int(node.get("exp", 1), f"{path}.exp"),
+        )
     if kind == "concat":
-        return Concat(tuple(from_json(f) for f in obj["factors"]))
+        return Concat(_decode_all(node["factors"], f"{path}.factors"))
     if kind == "inverse":
-        return Inverse(from_json(obj["of"]))
+        return Inverse(_decode(node["of"], f"{path}.of"))
     if kind in ("omega", "tau"):
-        tail_obj = obj["tail"]
+        tail_path = f"{path}.tail"
+        tail_obj = _json_object(node["tail"], tail_path)
         if tail_obj["kind"] == "trivial":
             tail: TailRule = Trivial()
         elif tail_obj["kind"] == "template":
             if "bodies" in tail_obj:
-                tail = Template(tuple(from_json(b) for b in tail_obj["bodies"]))
+                tail = Template(_decode_all(tail_obj["bodies"], f"{tail_path}.bodies"))
             else:
-                tail = Template((from_json(tail_obj["body"]),))
+                tail = Template((_decode(tail_obj["body"], f"{tail_path}.body"),))
         else:
             raise ValidationError([f"unknown tail kind {tail_obj['kind']!r}"])
-        spec = SeqSpec(tuple(from_json(f) for f in obj["prefix"]), tail)
+        spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix"), tail)
         return OmegaProd(spec) if kind == "omega" else TauProd(spec)
     raise ValidationError([f"unknown expression type {kind!r}"])
+
+
+def _decode_all(items, path: str) -> tuple[WordExpr, ...]:
+    if not isinstance(items, list):
+        raise ValidationError([f"{path}: expected a list, got {type(items).__name__}"])
+    return tuple(_decode(item, f"{path}[{i}]") for i, item in enumerate(items))
+
+
+def _json_object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValidationError([f"{path}: expected an object, got {type(obj).__name__}"])
+    return obj
+
+
+def _json_int(value, path: str) -> int:
+    if type(value) is not int:  # rejects floats, strings and bools
+        raise ValidationError([f"{path}: expected an integer, got {value!r}"])
+    return value

@@ -1,12 +1,16 @@
-"""Shared deterministic generators for fuzzed inputs."""
+"""Shared deterministic generators for fuzzed inputs, and reference oracles
+(the set-based twins of the ``james_monoid`` bitmask stage engine among them)."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Sequence
 
 from tauword import free_words as fw
 from tauword import rearrange as ra
 from tauword import word_expr as we
+from tauword.james_monoid import FiniteSpaceModel, Tuple_, Word, q_tuple
 
 
 def make_rng(seed: int) -> random.Random:
@@ -158,3 +162,74 @@ def swapped_pair(rng, max_letter=10) -> tuple[we.WordExpr, we.WordExpr]:
     left = make(we.SeqSpec(spec.prefix[:at] + pair + spec.prefix[at:], spec.tail))
     right = make(we.SeqSpec(spec.prefix[:at] + pair[::-1] + spec.prefix[at:], spec.tail))
     return left, right
+
+
+class SpecMismatchError(ValueError):
+    """A standard-neighbourhood spec does not fit the word."""
+
+
+class EmptyFiberError(ValueError):
+    """Requested ambient length is shorter than the word."""
+
+
+def fiber(m: FiniteSpaceModel, w: Word, n: int) -> set[Tuple_]:
+    """All n-tuples mapping to w: insert n - |w| basepoint entries."""
+    if n < len(w):
+        raise EmptyFiberError(f"ambient length {n} < word length {len(w)}")
+    out = set()
+    for positions in itertools.combinations(range(n), len(w)):
+        t = [m.base] * n
+        for p, letter in zip(positions, w):
+            t[p] = letter
+        out.add(tuple(t))
+    return out
+
+
+def standard_nbhd(
+    m: FiniteSpaceModel,
+    w: Word,
+    letter_opens: Sequence,
+    base_open,
+    n: int,
+) -> tuple[frozenset[Tuple_], frozenset[Word]]:
+    """Union of product boxes over the fiber of w, and its word image.
+
+    letter_opens[j] is an open set containing w[j] but not the basepoint;
+    base_open is an open set containing the basepoint and fills the
+    remaining slots.
+    """
+    us = [frozenset(u) for u in letter_opens]
+    v = frozenset(base_open)
+    if len(us) != len(w):
+        raise SpecMismatchError(f"{len(us)} opens for a word of length {len(w)}")
+    if n < len(w):
+        raise SpecMismatchError(f"ambient length {n} < word length {len(w)}")
+    for j, u in enumerate(us):
+        if not m.is_open(u):
+            raise SpecMismatchError(f"U_{j + 1} is not open")
+        if m.base in u:
+            raise SpecMismatchError(f"U_{j + 1} contains the basepoint")
+        if w[j] not in u:
+            raise SpecMismatchError(f"letter {w[j]!r} not in U_{j + 1}")
+    if not m.is_open(v):
+        raise SpecMismatchError("V is not open")
+    if m.base not in v:
+        raise SpecMismatchError("V does not contain the basepoint")
+    tuples: set[Tuple_] = set()
+    for positions in itertools.combinations(range(n), len(w)):
+        slots: list[frozenset[str]] = [v] * n
+        for j, p in enumerate(positions):
+            slots[p] = us[j]
+        tuples.update(itertools.product(*slots))
+    n_set = frozenset(tuples)
+    return n_set, frozenset(q_tuple(m, t) for t in n_set)
+
+
+def check_saturated(m: FiniteSpaceModel, tuples, n: int) -> bool:
+    """True iff the tuple set is a union of fibers of the length-n quotient."""
+    tuples = frozenset(tuples)
+    image = {q_tuple(m, t) for t in tuples}
+    preimage: set[Tuple_] = set()
+    for w in image:
+        preimage.update(fiber(m, w, n))
+    return preimage == tuples

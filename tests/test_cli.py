@@ -1,11 +1,12 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from tauword import cli, rearrange as ra, word_expr as we
+from tauword import cli, james_monoid as jm, rearrange as ra, word_expr as we
 
-from conftest import equal_up_to_by_levels
+from conftest import check_saturated, equal_up_to_by_levels, standard_nbhd
 
 
 def run(capsys, *argv):
@@ -130,8 +131,8 @@ def test_factor_command(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["projections_match"] is True
     assert blob["stages"][0]["word"] == "l1 l2 l1^-1 l2^-1"
-    code, _, err = run(capsys, "factor", "--builtin", "ell_tau", "--depth", "3")
-    assert code == 1 and "winding" in err
+    code, out, err = run(capsys, "factor", "--builtin", "ell_tau", "--depth", "3")
+    assert (code, out, err) == (1, "", "error: winding vector is nonzero\n")
 
 
 def test_abelianize_targets(capsys, tmp_path):
@@ -191,8 +192,115 @@ def test_james_saturation_and_topology(model_file, capsys):
 
 
 def test_james_bounds(model_file, capsys):
-    code, _, err = run(capsys, "james", "--model", model_file, "--check", "topology", "--n", "5")
-    assert code == 1 and "bounds exceeded" in err
+    code, out, err = run(capsys, "james", "--model", model_file, "--check", "topology", "--n", "5")
+    assert (code, out, err) == (1, "", "error: bounds exceeded: 3 points (max 4), n=5 (max 3)\n")
+
+
+def nbhd_rows_by_oracle(m: jm.FiniteSpaceModel, n: int) -> list[dict]:
+    """The ``james --check nbhd`` rows, built from the set-based oracles."""
+    opens = m.opens()
+    rows = []
+    for w in sorted(jm.words_up_to(m, n), key=lambda w: (len(w), w)):
+        per_letter = [[o for o in opens if x in o and m.base not in o] for x in w]
+        sizes, saturated = [], 0
+        for us in itertools.product(*per_letter):
+            for v in (o for o in opens if m.base in o):
+                tuples, _ = standard_nbhd(m, w, us, v, n)
+                sizes.append(len(tuples))
+                saturated += check_saturated(m, tuples, n)
+        rows.append({
+            "word": " ".join(w) or "(empty)",
+            "specs": len(sizes),
+            "saturated": saturated,
+            "smallest": min(sizes, default=0),
+            "largest": max(sizes, default=0),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_james_nbhd_and_saturation_match_set_based_oracle(tmp_path, capsys, n):
+    for i, m in enumerate(jm.all_models(3)):
+        path = tmp_path / f"model{i}.txt"
+        path.write_text(jm.render_model(m))
+        rows = nbhd_rows_by_oracle(m, n)
+        all_saturated = all(r["specs"] == r["saturated"] for r in rows)
+        code, out, _ = run(capsys, "james", "--model", str(path), "--check", "nbhd", "--n", str(n), "--format", "json")
+        assert json.loads(out)["rows"] == rows, jm.render_model(m)
+        assert code == (0 if all_saturated else 2)
+        code, out, _ = run(
+            capsys, "james", "--model", str(path), "--check", "saturation", "--n", str(n), "--format", "json"
+        )
+        blob = json.loads(out)
+        assert blob["neighborhoods"] == sum(r["specs"] for r in rows)
+        assert blob["saturated"] == sum(r["saturated"] for r in rows)
+        assert code == (0 if all_saturated else 2)
+
+
+@pytest.mark.parametrize("check", ["nbhd", "saturation"])
+def test_james_builds_one_stage_per_call(model_file, capsys, monkeypatch, check):
+    built = []
+    real = jm.stage_tables
+    monkeypatch.setattr(jm, "stage_tables", lambda m, n: built.append(n) or real(m, n))
+    code, _, _ = run(capsys, "james", "--model", model_file, "--check", check, "--n", "3")
+    assert code == 0
+    assert built == [3]
+
+
+@pytest.mark.parametrize(
+    "blob, where",
+    [
+        ([{"type": "letter", "index": 1, "exp": 1}, {"type": "letter", "index": 2, "exp": 1}], "expr: expected an object"),
+        ({"type": "omega", "prefix": [], "tail": 5}, "expr.tail: expected an object"),
+        (
+            {"type": "concat", "factors": [{"type": "letter", "index": 1, "exp": 1}, {"type": "letter", "index": 1.7, "exp": 2.9}]},
+            "expr.factors[1].index: expected an integer, got 1.7",
+        ),
+        ({"type": "letter", "index": True, "exp": 1}, "expr.index: expected an integer, got True"),
+    ],
+    ids=["json_list", "tail_int", "float_leaf", "bool_index"],
+)
+def test_malformed_expression_is_input_error(tmp_path, capsys, blob, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "eta", "--expr", str(path))
+    assert code == 1 and out == ""
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "blob, where",
+    [
+        ({"kind": "finite", "cycles": [["a", 2]]}, "cycle entries must be integers"),
+        ({"kind": "block", "period": 4.0, "perm": [0, 2, 1, 3]}, "period must be an integer, got 4.0"),
+    ],
+    ids=["str_cycle_entry", "float_period"],
+)
+def test_malformed_bijection_is_input_error(tmp_path, capsys, blob, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "shuffle", "--builtin", "ell_infinity", "--bijection", str(path))
+    assert code == 1 and out == ""
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [{"relators": []}],
+        [[1, 2]],
+        [{"generators": 2.0, "relators": []}],
+        [{"generators": 1, "relators": 3}],
+        [{"generators": 1, "relators": [4]}],
+    ],
+    ids=["no_generators", "list_block", "float_generators", "int_relators", "int_relator_row"],
+)
+def test_malformed_presentation_block_is_input_error(tmp_path, capsys, blocks):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"blocks": blocks}))
+    code, out, err = run(capsys, "wedge", "--presentations", str(path), "--builtin", "ell_tau", "--blocks", "1")
+    assert code == 1 and out == ""
+    assert "block 1 needs integer 'generators'" in err and "Traceback" not in err
 
 
 def test_orders_commands(capsys):

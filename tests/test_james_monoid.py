@@ -4,7 +4,14 @@ import pytest
 
 from tauword import james_monoid as jm
 
-from conftest import make_rng
+from conftest import (
+    EmptyFiberError,
+    SpecMismatchError,
+    check_saturated,
+    fiber,
+    make_rng,
+    standard_nbhd,
+)
 
 
 CHAIN = jm.model(["e", "a", "b"], "e", [("e", "a"), ("a", "b")])
@@ -31,6 +38,15 @@ def test_opens_form_topology():
         for s, t in itertools.product(opens, repeat=2):
             assert (s | t) in opens
             assert (s & t) in opens
+
+
+def test_up_sets_computed_once_without_changing_equality():
+    m = jm.model(["e", "a", "b"], "e", [("e", "a"), ("a", "b")])
+    fresh = jm.model(["e", "a", "b"], "e", [("e", "a"), ("a", "b")])
+    assert m.up("a") is m.up("a") == frozenset({"a", "b"})
+    assert m.down("a") == frozenset({"e", "a"})
+    assert m == fresh and hash(m) == hash(fresh)
+    assert {m: 1}[fresh] == 1
 
 
 def test_model_text_round_trip():
@@ -80,36 +96,36 @@ def test_monoid_laws():
 
 
 def test_fiber_examples():
-    assert len(jm.fiber(DISCRETE3, ("a",), 3)) == 3
-    assert jm.fiber(DISCRETE3, (), 4) == {("e", "e", "e", "e")}
-    assert jm.fiber(DISCRETE3, ("a", "b"), 2) == {("a", "b")}
-    with pytest.raises(jm.EmptyFiberError):
-        jm.fiber(DISCRETE3, ("a", "b"), 1)
+    assert len(fiber(DISCRETE3, ("a",), 3)) == 3
+    assert fiber(DISCRETE3, (), 4) == {("e", "e", "e", "e")}
+    assert fiber(DISCRETE3, ("a", "b"), 2) == {("a", "b")}
+    with pytest.raises(EmptyFiberError):
+        fiber(DISCRETE3, ("a", "b"), 1)
 
 
 def test_fiber_counts_binomial():
     for n in range(0, 6):
         for w in jm.words_up_to(DISCRETE3, min(n, 3)):
             if len(w) <= n:
-                assert len(jm.fiber(DISCRETE3, w, n)) == jm.expected_fiber_count(n, len(w))
+                assert len(fiber(DISCRETE3, w, n)) == jm.expected_fiber_count(n, len(w))
 
 
 def test_standard_nbhd_chain_example():
     u1 = frozenset({"a", "b"})
     v = frozenset({"e", "a", "b"})
-    n_set, image = jm.standard_nbhd(CHAIN, ("a",), [u1], v, 2)
+    n_set, image = standard_nbhd(CHAIN, ("a",), [u1], v, 2)
     expected = {
         t
         for t in itertools.product(CHAIN.points, repeat=2)
         if t[0] in u1 or t[1] in u1
     }
     assert n_set == expected
-    assert jm.check_saturated(CHAIN, n_set, 2)
+    assert check_saturated(CHAIN, n_set, 2)
 
 
 def test_standard_nbhd_disjoint_boxes():
     u1, u2, v = frozenset({"a"}), frozenset({"b"}), frozenset({"e"})
-    n_set, _ = jm.standard_nbhd(DISCRETE3, ("a", "b"), [u1, u2], v, 3)
+    n_set, _ = standard_nbhd(DISCRETE3, ("a", "b"), [u1, u2], v, 3)
     boxes = []
     for positions in itertools.combinations(range(3), 2):
         slots = [v] * 3
@@ -122,14 +138,14 @@ def test_standard_nbhd_disjoint_boxes():
 
 
 def test_standard_nbhd_spec_mismatch():
-    with pytest.raises(jm.SpecMismatchError):
-        jm.standard_nbhd(DISCRETE3, ("a",), [frozenset({"b"})], frozenset({"e"}), 2)
-    with pytest.raises(jm.SpecMismatchError):
-        jm.standard_nbhd(DISCRETE3, ("a",), [frozenset({"a", "e"})], frozenset({"e"}), 2)
-    with pytest.raises(jm.SpecMismatchError):
-        jm.standard_nbhd(DISCRETE3, ("a",), [frozenset({"a"})], frozenset({"a"}), 2)
-    with pytest.raises(jm.SpecMismatchError):
-        jm.standard_nbhd(DISCRETE3, ("a", "b"), [frozenset({"a"}), frozenset({"b"})], frozenset({"e"}), 1)
+    with pytest.raises(SpecMismatchError):
+        standard_nbhd(DISCRETE3, ("a",), [frozenset({"b"})], frozenset({"e"}), 2)
+    with pytest.raises(SpecMismatchError):
+        standard_nbhd(DISCRETE3, ("a",), [frozenset({"a", "e"})], frozenset({"e"}), 2)
+    with pytest.raises(SpecMismatchError):
+        standard_nbhd(DISCRETE3, ("a",), [frozenset({"a"})], frozenset({"a"}), 2)
+    with pytest.raises(SpecMismatchError):
+        standard_nbhd(DISCRETE3, ("a", "b"), [frozenset({"a"}), frozenset({"b"})], frozenset({"e"}), 1)
 
 
 def test_standard_nbhds_open_in_power():
@@ -144,7 +160,7 @@ def test_standard_nbhds_open_in_power():
             per_letter = [[o for o in opens if w[j] in o and m.base not in o] for j in range(len(w))]
             for us in itertools.product(*per_letter):
                 for v in (o for o in opens if m.base in o):
-                    n_set, _ = jm.standard_nbhd(m, w, us, v, n)
+                    n_set, _ = standard_nbhd(m, w, us, v, n)
                     for t in n_set:
                         for i, x in enumerate(t):
                             for y in m.up(x):
@@ -170,21 +186,21 @@ def test_nbhd_images_open_in_quotient():
                     continue
                 us = rng.choice(combos)
                 for v in (o for o in opens if m.base in o):
-                    _, image = jm.standard_nbhd(m, w, us, v, n)
+                    _, image = standard_nbhd(m, w, us, v, n)
                     for word in image:
                         assert jm.minimal_open(m, word, n) <= image
 
 
 def test_word_nbhd_stats():
-    stats = jm.word_nbhd_stats(DISCRETE3, ("a",), 2)
+    stats = jm.word_nbhd_stats(jm.stage_tables(DISCRETE3, 2), ("a",))
     assert stats["specs"] == stats["saturated"] > 0
     assert 0 < stats["smallest"] <= stats["largest"] <= 9
 
 
 def test_check_saturated_examples():
-    assert not jm.check_saturated(DISCRETE3, {("a", "e")}, 2)
-    assert jm.check_saturated(DISCRETE3, set(itertools.product(DISCRETE3.points, repeat=2)), 2)
-    assert jm.check_saturated(DISCRETE3, set(), 2)
+    assert not check_saturated(DISCRETE3, {("a", "e")}, 2)
+    assert check_saturated(DISCRETE3, set(itertools.product(DISCRETE3.points, repeat=2)), 2)
+    assert check_saturated(DISCRETE3, set(), 2)
 
 
 def test_sweep_matches_public_check():
@@ -198,11 +214,11 @@ def test_sweep_matches_public_check():
                 ]
                 for us in itertools.product(*per_letter):
                     for v in (o for o in opens if m.base in o):
-                        mask = jm.nbhd_mask(tables, w, us, v, n)
+                        mask = jm.nbhd_mask(tables, w, us, v)
                         tuples = {tables.tuples[i] for i in range(len(tables.tuples)) if mask >> i & 1}
-                        direct, _ = jm.standard_nbhd(m, w, us, v, n)
+                        direct, _ = standard_nbhd(m, w, us, v, n)
                         assert tuples == direct
-                        assert jm.mask_saturated(tables, mask) == jm.check_saturated(m, tuples, n)
+                        assert jm.mask_saturated(tables, mask) == check_saturated(m, tuples, n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +232,7 @@ def min_open_tuplewise(m: jm.FiniteSpaceModel, w, n):
     while True:
         tuples = set()
         for u in words:
-            tuples |= jm.fiber(m, u, n)
+            tuples |= fiber(m, u, n)
         lifted = set()
         for t in tuples:
             lifted |= set(itertools.product(*[m.up(x) for x in t]))

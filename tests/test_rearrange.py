@@ -174,3 +174,21 @@ def test_json_round_trip():
     assert ra.bijection_from_json({"kind": "block", "period": 4, "perm": [0, 2, 1, 3]}) == ra.eh_shuffle()
     with pytest.raises(ra.MalformedBijectionError):
         ra.bijection_from_json({"kind": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"kind": "finite", "cycles": [["a", 2]]},
+        {"kind": "finite", "cycles": [[True, 2]]},
+        {"kind": "finite", "cycles": [[1.0, 2]]},
+        {"kind": "finite", "cycles": {"1": 2}},
+        {"kind": "block", "period": 4.0, "perm": [0, 2, 1, 3]},
+        {"kind": "block", "period": 2, "perm": [1, False]},
+        {"kind": "compose", "of": {"kind": "finite", "cycles": []}},
+        [{"kind": "finite", "cycles": []}],
+    ],
+)
+def test_json_decoding_rejects_non_integers_and_wrong_shapes(blob):
+    with pytest.raises(ra.MalformedBijectionError):
+        ra.bijection_from_json(blob)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -399,3 +400,32 @@ def test_json_schema_shapes():
 def test_json_rejects_unknown():
     with pytest.raises(we.ValidationError):
         we.from_json({"type": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "blob, where",
+    [
+        ([{"type": "letter", "index": 1}], "expr: expected an object, got list"),
+        ({"type": "omega", "prefix": [], "tail": 5}, "expr.tail: expected an object, got int"),
+        ({"type": "concat", "factors": None}, "expr.factors: expected a list"),
+        ({"type": "tau", "prefix": {}, "tail": {"kind": "trivial"}}, "expr.prefix: expected a list"),
+        (
+            {"type": "omega", "prefix": [], "tail": {"kind": "template", "bodies": "ab"}},
+            "expr.tail.bodies: expected a list",
+        ),
+        (
+            {"type": "concat", "factors": [{"type": "letter", "index": 1}, {"type": "letter", "index": 1.7, "exp": 2.9}]},
+            "expr.factors[1].index: expected an integer, got 1.7",
+        ),
+        ({"type": "letter", "index": True}, "expr.index: expected an integer, got True"),
+        ({"type": "letter", "index": 2, "exp": "3"}, "expr.exp: expected an integer, got '3'"),
+        (
+            {"type": "tau", "prefix": [], "tail": {"kind": "template", "body": {"type": "letter", "base": 1, "coef": 1.0}}},
+            "expr.tail.body.coef: expected an integer, got 1.0",
+        ),
+        ({"type": "inverse", "of": {"type": "letter", "index": 1, "exp": False}}, "expr.of.exp: expected an integer"),
+    ],
+)
+def test_json_decoding_is_strict_with_paths(blob, where):
+    with pytest.raises(we.ValidationError, match=re.escape(where)):
+        we.from_json(blob)
