@@ -65,7 +65,7 @@ def _load_exprs(ns, want: int) -> list[word_expr.WordExpr]:
             try:
                 with open(value) as fh:
                     expr = word_expr.from_json(json.load(fh))
-            except (OSError, json.JSONDecodeError, word_expr.ValidationError, KeyError) as exc:
+            except (OSError, json.JSONDecodeError, RecursionError, word_expr.ValidationError, KeyError) as exc:
                 raise InputError(f"cannot read expression {value!r}: {exc}") from exc
         report = word_expr.validate(expr)
         if report:
@@ -146,7 +146,7 @@ def _load_bijection(ns) -> rearrange.BijectionSpec:
     try:
         with open(ns.bijection) as fh:
             return rearrange.bijection_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, rearrange.MalformedBijectionError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, rearrange.MalformedBijectionError, KeyError) as exc:
         raise InputError(f"cannot read bijection {ns.bijection!r}: {exc}") from exc
 
 
@@ -381,11 +381,13 @@ def _order_spec(name: str) -> orders.OrderSpec:
     raise InputError(f"unknown order spec {name!r} (use omega, omega+omega, zeta, rationals, chainN)")
 
 
-def cmd_wedge(ns) -> int:
-    (expr,) = _load_exprs(ns, 1)
+def _load_presentations(path: str) -> tuple[list[dict], int, dict[int, tuple[int, int]]]:
+    """The blocks, ``repeat_from`` and letter map of a presentations file, checked strictly."""
     try:
-        with open(ns.presentations) as fh:
+        with open(path) as fh:
             pres = json.load(fh)
+        if not isinstance(pres, dict) or not isinstance(pres.get("blocks"), list):
+            raise ValueError("expected an object with a 'blocks' list")
         blocks = pres["blocks"]
         for k, block in enumerate(blocks, start=1):
             rows = block.get("relators", []) if isinstance(block, dict) else None
@@ -394,12 +396,33 @@ def cmd_wedge(ns) -> int:
             )
             if not int_rows or type(block.get("generators")) is not int:
                 raise ValueError(f"block {k} needs integer 'generators' and a list of integer 'relators' rows")
-        repeat_from = pres.get("repeat_from", len(blocks) - 1 if blocks else 0)
-        letter_map = {int(k): (v["block"], v["gen"]) for k, v in pres.get("letters", {}).items()}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot read presentations {ns.presentations!r}: {exc}") from exc
-    if not blocks:
-        raise InputError("presentations file declares no blocks")
+        if not blocks:
+            raise InputError("presentations file declares no blocks")
+        repeat_from = pres.get("repeat_from", len(blocks) - 1)
+        if type(repeat_from) is not int or not 0 <= repeat_from < len(blocks):
+            raise ValueError(f"repeat_from: expected an integer in 0..{len(blocks) - 1}, got {repeat_from!r}")
+        letters = pres.get("letters", {})
+        if not isinstance(letters, dict):
+            raise ValueError(f"letters: expected an object, got {type(letters).__name__}")
+        letter_map = {}
+        for key, entry in letters.items():
+            if not key.isdecimal() or int(key) < 1:
+                raise ValueError(f"letters[{key!r}]: expected a letter number >= 1")
+            if not isinstance(entry, dict):
+                raise ValueError(f"letters[{key!r}]: expected an object, got {type(entry).__name__}")
+            for field in ("block", "gen"):
+                value = entry.get(field)
+                if type(value) is not int or value < 1:
+                    raise ValueError(f"letters[{key!r}].{field}: expected an integer >= 1, got {value!r}")
+            letter_map[int(key)] = (entry["block"], entry["gen"])
+    except (OSError, RecursionError, ValueError) as exc:
+        raise InputError(f"cannot read presentations {path!r}: {exc}") from exc
+    return blocks, repeat_from, letter_map
+
+
+def cmd_wedge(ns) -> int:
+    (expr,) = _load_exprs(ns, 1)
+    blocks, repeat_from, letter_map = _load_presentations(ns.presentations)
 
     def block_for(k: int) -> dict:
         if k <= len(blocks):

@@ -75,10 +75,6 @@ class ReducedWord:
         """Largest letter index used; 0 for the identity."""
         return max((l for l, _ in self.syllables), default=0)
 
-    def min_letter(self) -> int:
-        """Smallest letter index used; 0 for the identity."""
-        return min((l for l, _ in self.syllables), default=0)
-
     def __str__(self) -> str:
         return render_word(self)
 

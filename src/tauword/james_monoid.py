@@ -341,7 +341,6 @@ class Stage:
     opens: list[frozenset[str]]
     base_opens: list[frozenset[str]]
     tuples: list[Tuple_]
-    word_of: list[Word]
     fiber_mask: dict[Word, int]
     slot_masks: list[dict[frozenset[str], int]]  # slot -> open -> tuples with that slot in it
 
@@ -349,9 +348,9 @@ class Stage:
 def stage_tables(m: FiniteSpaceModel, n: int) -> Stage:
     """Build the stage of ambient length n once; every neighbourhood check reads it."""
     tuples = list(itertools.product(m.points, repeat=n))
-    word_of = [tuple(x for x in t if x != m.base) for t in tuples]
     fiber_mask: dict[Word, int] = {}
-    for i, w in enumerate(word_of):
+    for i, t in enumerate(tuples):
+        w = tuple(x for x in t if x != m.base)
         fiber_mask[w] = fiber_mask.get(w, 0) | 1 << i
     opens = m.opens()
     return Stage(
@@ -360,7 +359,6 @@ def stage_tables(m: FiniteSpaceModel, n: int) -> Stage:
         opens=opens,
         base_opens=[o for o in opens if m.base in o],
         tuples=tuples,
-        word_of=word_of,
         fiber_mask=fiber_mask,
         slot_masks=[
             {o: sum(1 << i for i, t in enumerate(tuples) if t[slot] in o) for o in opens}

@@ -19,6 +19,7 @@ sources to a bijection of all components (hence of their indices).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -90,12 +91,6 @@ def compare(m1: int, m2: int) -> int:
 def position_key(m: int) -> Fraction:
     """Sort key ordering component numbers by position: the dyadic (2m+1)/2^L."""
     return Fraction(2 * m + 1, 1 << _level(m))
-
-
-def _scaled_keys(ms: Sequence[int]) -> list[int]:
-    """The keys (2m+1)/2^L of the components ms, as integers on one scale 2^k."""
-    k = max((m.bit_length() for m in ms), default=0)
-    return [(2 * m + 1) << (k - m.bit_length()) for m in ms]
 
 
 def least_component_in(lower: Optional[int], upper: Optional[int]) -> int:
@@ -246,8 +241,13 @@ class Embedding:
     component fitting strictly between the images of its already-placed
     neighbours, with the fixed ceiling component 1 = (1/3, 2/3) as a
     global upper bound.  The ceiling keeps images of upper-unbounded sources
-    bounded above by a component.  Deterministic and memoized; placing index
-    n touches only the n-1 earlier placements.
+    bounded above by a component.  Deterministic and memoized.
+
+    Placement preserves the source order, so the images sorted by source key
+    are also sorted by position: the neighbours of a new index are the
+    images beside its key's insertion point, found by bisection.  The
+    components no index maps to are found by one ascending scan and kept in
+    a sorted list.
 
     The memo is internal mutable state: use an instance from one thread, or
     guard it externally.
@@ -256,7 +256,11 @@ class Embedding:
     def __init__(self, spec: OrderSpec):
         self.spec = spec
         self._images: list[int] = []  # component number of source index i at i-1
-        self._membership: dict[int, Optional[int]] = {}
+        self._keys: list = []  # placed source keys, ascending
+        self._ascending: list[int] = []  # their images, hence ascending in position
+        self._membership: dict[int, Optional[int]] = {}  # every placed image is entered
+        self._missed: list[int] = []  # component numbers no index maps to, ascending
+        self._scanned = 0  # components 1.._scanned are decided
 
     def ensure(self, count: int) -> None:
         if self.spec.size is not None:
@@ -266,17 +270,18 @@ class Embedding:
 
     def _place_next(self) -> None:
         i = len(self._images) + 1
-        keys = _scaled_keys(self._images)
-        left: list[tuple[int, int]] = []  # (key, component number)
-        right: list[tuple[int, int]] = []
-        for j, pair in enumerate(zip(keys, self._images), start=1):
-            side = self.spec.cmp(j, i)
-            if side == 0:
-                raise ValueError(f"source indices {j} and {i} compare equal")
-            (left if side < 0 else right).append(pair)
-        lower = max(left)[1] if left else None
-        upper = min(right)[1] if right else _CEILING
-        self._images.append(least_component_in(lower, upper))
+        key = self.spec.key(i)
+        p = bisect_left(self._keys, key)
+        if p < len(self._keys) and self._keys[p] == key:
+            j = self._images.index(self._ascending[p]) + 1
+            raise ValueError(f"source indices {j} and {i} compare equal")
+        lower = self._ascending[p - 1] if p else None
+        upper = self._ascending[p] if p < len(self._ascending) else _CEILING
+        m = least_component_in(lower, upper)
+        self._images.append(m)
+        self._keys.insert(p, key)
+        self._ascending.insert(p, m)
+        self._membership[m] = i
 
     def __call__(self, i: int) -> CantorComponent:
         return theta(self.image_index(i))
@@ -296,25 +301,17 @@ class Embedding:
         relevant frontier passes it; the rationals source provably hits every
         component left of the ceiling.
         """
-        if m in self._membership:
-            return self._membership[m]
-        result = self._decide_membership(m, max_steps)
-        self._membership[m] = result
-        return result
+        if m not in self._membership:
+            self._membership[m] = self._decide_membership(m, max_steps)
+        return self._membership[m]
 
     def _decide_membership(self, m: int, max_steps: int) -> Optional[int]:
+        # placed images are already in the memo, so m is none of them
         if compare(m, _CEILING) >= 0:
             return None  # images live strictly left of the ceiling
-        for i, img in enumerate(self._images, start=1):
-            if img == m:
-                return i
-        spec = self.spec
-        if spec.size is not None:
-            self.ensure(spec.size)
-            for i, img in enumerate(self._images, start=1):
-                if img == m:
-                    return i
-            return None
+        if self.spec.size is not None:
+            self.ensure(self.spec.size)
+            return self._membership.get(m)
         for _ in range(max_steps):
             if self._excluded(m):
                 return None
@@ -324,24 +321,41 @@ class Embedding:
         raise RuntimeError(f"membership of component {m} undecided after {max_steps} steps")
 
     def _excluded(self, m: int) -> bool:
-        if not self._images:
+        images = self._images
+        if not images:
             return False
-        *keys, target = _scaled_keys([*self._images, m])
         spec = self.spec
         if isinstance(spec, Omega):
-            return max(keys) > target
+            return compare(images[-1], m) > 0  # the images ascend
         if isinstance(spec, IntegersZeta):
-            return min(keys) < target < max(keys)
+            return compare(self._ascending[0], m) < 0 < compare(self._ascending[-1], m)
         if isinstance(spec, OmegaPlusOmega):
-            first, second = keys[0::2], keys[1::2]
-            if first and target < max(first):
-                return True  # below the first copy's ascending frontier
-            if len(second) >= 2 and second[0] < target < max(second):
-                return True  # strictly inside the second copy's span
-            return False
+            # odd indices ascend through the first copy, even ones through the second
+            n = len(images)
+            if compare(m, images[(n - 1) // 2 * 2]) < 0:
+                return True  # below the first copy's frontier, the last odd-index image
+            # strictly inside the second copy's span, from index 2 to the last even index
+            return n >= 4 and compare(images[1], m) < 0 < compare(images[n // 2 * 2 - 1], m)
         if isinstance(spec, Rationals):
             return False  # every component left of the ceiling is eventually hit
         raise RuntimeError(f"no membership rule for source {spec}")
+
+    def missed_through(self, n: int) -> int:
+        """How many of the components 1..n no source index maps to."""
+        while self._scanned < n:
+            self._scan_next()
+        return bisect_right(self._missed, n)
+
+    def nth_missed(self, rank: int) -> int:
+        """The rank-th smallest component number no source index maps to."""
+        while len(self._missed) < rank:
+            self._scan_next()
+        return self._missed[rank - 1]
+
+    def _scan_next(self) -> None:
+        self._scanned += 1
+        if self.index_of_component(self._scanned) is None:
+            self._missed.append(self._scanned)
 
 
 def back_and_forth_embed(spec: OrderSpec) -> Embedding:
@@ -372,33 +386,15 @@ class ExtendedBijection:
         self.mu = mu
         self.nu = nu
         self.psi = psi
-        self._phi_cache: dict[int, int] = {}
 
     def phi(self, n: int) -> int:
-        if n in self._phi_cache:
-            return self._phi_cache[n]
         i = self.mu.index_of_component(n)
         if i is not None:
-            result = self.nu.image_index(self.psi(i))
-        else:
-            rank = sum(
-                1 for j in range(1, n + 1) if self.mu.index_of_component(j) is None
-            )
-            result = self._nth_complement_of_nu(rank)
-        self._phi_cache[n] = result
-        return result
+            return self.nu.image_index(self.psi(i))
+        return self.nu.nth_missed(self.mu.missed_through(n))
 
     def component_map(self, c: CantorComponent) -> CantorComponent:
         return theta(self.phi(theta_inv(c)))
-
-    def _nth_complement_of_nu(self, rank: int) -> int:
-        count = 0
-        j = 0
-        while count < rank:
-            j += 1
-            if self.nu.index_of_component(j) is None:
-                count += 1
-        return j
 
 
 def extend_bijection(

@@ -13,7 +13,7 @@ unit-vector differences), and Smith normal form for integer matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 
@@ -117,11 +117,6 @@ def all_ones() -> SpeckerVector:
 def tail_ones(n: int) -> SpeckerVector:
     """0 in coordinates 1..n-1 and 1 from coordinate n on."""
     return vector([0] * (n - 1), [1])
-
-
-def eq(v: SpeckerVector, w: SpeckerVector) -> bool:
-    """Exact equality of sequences (canonical forms agree)."""
-    return v == w
 
 
 def finite_support_eq(v: SpeckerVector, w: SpeckerVector) -> bool:
@@ -283,6 +278,12 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     Elementary row/column reduction with explicit accumulation of U and V;
     no modular shortcuts, exact arbitrary-precision arithmetic throughout.
+
+    Step t ends only once its pivot divides the whole trailing submatrix, and
+    later steps only combine rows and columns inside that submatrix, so every
+    later pivot is a multiple of it: the divisibility chain holds by
+    construction.  Pivots are made positive and a zero trailing submatrix
+    ends the loop, so the zero diagonal entries come last.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -326,24 +327,6 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
                     best = (i, j)
         return best
-
-    def reduce_pair(t):
-        # gcd-reduce the block rows/cols t, t+1 after column t gained an entry
-        while True:
-            if s[t + 1][t] != 0:
-                q = s[t + 1][t] // s[t][t] if s[t][t] != 0 else 0
-                if s[t][t] != 0:
-                    add_row(t, t + 1, -q)
-                if s[t + 1][t] != 0:
-                    swap_rows(t, t + 1)
-                    continue
-            if s[t][t + 1] != 0:
-                q = s[t][t + 1] // s[t][t]
-                add_col(t, t + 1, -q)
-                if s[t][t + 1] != 0:
-                    swap_cols(t, t + 1)
-                    continue
-            break
 
     t = 0
     while t < min(rows, cols):
@@ -393,29 +376,6 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if s[t][t] < 0:
             negate_row(t)
         t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1} on the diagonal
-    diag_len = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(diag_len - 1):
-            a_i, a_j = s[i][i], s[i + 1][i + 1]
-            if a_i != 0 and a_j % a_i != 0:
-                add_col(i + 1, i, 1)  # puts a_j into column i of row i+1
-                g = gcd(a_i, a_j)
-                # re-reduce the 2x2 block with explicit operations
-                reduce_pair(i)
-                if s[i][i] != g:
-                    raise RuntimeError(f"diagonal entry {i} is {s[i][i]}, not gcd {g}")
-                changed = True
-            elif a_i == 0 and a_j != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-        for i in range(diag_len):
-            if s[i][i] < 0:
-                negate_row(i)
 
     return s, u, v
 

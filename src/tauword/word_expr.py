@@ -33,6 +33,7 @@ from .free_words import (
     invert,
     reduce,
 )
+from .rearrange import is_bijection
 from .specker import SpeckerVector, vector
 
 
@@ -309,7 +310,7 @@ def _body_leaf_shapes(body: WordExpr) -> Iterable[tuple[int, int]]:
         yield from _body_leaf_shapes(body.of)
 
 
-def project(e: WordExpr, n: int, *, _validated: bool = False) -> ReducedWord:
+def project(e: WordExpr, n: int) -> ReducedWord:
     """The image of the expression in the free group on l1..ln.
 
     Letters above n are deleted; omega factors contribute in index order, tau
@@ -319,8 +320,7 @@ def project(e: WordExpr, n: int, *, _validated: bool = False) -> ReducedWord:
     """
     if n < 1:
         raise ValueError("projection level must be positive")
-    if not _validated:
-        ensure_valid(e)
+    ensure_valid(e)
     return _project(e, n)
 
 
@@ -356,14 +356,17 @@ def _project(e: WordExpr, n: int) -> ReducedWord:
     raise TypeError(f"cannot project {type(e).__name__}")
 
 
-def eta(e: WordExpr, *, _validated: bool = False) -> SpeckerVector:
+def eta(e: WordExpr) -> SpeckerVector:
     """Total exponent sum of every letter, as an eventually periodic vector.
 
     Coordinate n agrees with the exponent sum of letter n in any projection
     at level m >= n; the result is exact over all (infinitely many) factors.
     """
-    if not _validated:
-        ensure_valid(e)
+    ensure_valid(e)
+    return _eta(e)
+
+
+def _eta(e: WordExpr) -> SpeckerVector:
     consts: dict[int, int] = {}
     aps: list[tuple[int, int, int]] = []
     _collect_eta(e, 1, consts, aps)
@@ -473,8 +476,6 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
     if isinstance(spec.tail, Trivial):
         inverse = phi.inverse()
         cut = max((inverse.evaluate(m) for m in range(1, r + 1)), default=0)
-        from .rearrange import is_bijection
-
         if not is_bijection(phi, phi.preserving_bound(max(cut, r, 8))):
             raise ClosureError("bijection check failed on the essential range")
         new_prefix = tuple(factor_at(spec, phi.evaluate(k)) for k in range(1, cut + 1))
@@ -490,8 +491,6 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
     big = lcm(st.period, q_count)
     low = max(st.bound, r + max(0, -min(st.offsets)))
     cut = (low // big + 1) * big
-    from .rearrange import is_bijection
-
     if not is_bijection(phi, cut):
         raise ClosureError("bijection check failed below the tail cut")
     new_prefix = tuple(factor_at(spec, phi.evaluate(k)) for k in range(1, cut + 1))
@@ -534,11 +533,13 @@ def commutator_factorization(e: WordExpr, depth: int = 12) -> SeqSpec:
     returned unchanged.
     """
     ensure_valid(e)
-    if not eta(e, _validated=True).is_zero:
+    if not _eta(e).is_zero:
         raise HypothesisViolationError("winding vector is nonzero")
     if isinstance(e, OmegaProd) and _already_factored(e.spec):
         return e.spec
-    beta = project(e, depth, _validated=True)
+    if depth < 1:
+        raise ValueError("projection level must be positive")
+    beta = _project(e, depth)
     stages: list[WordExpr] = []
     for n in range(1, depth + 1):
         beta_next = delete_letter(beta, n)

@@ -1,16 +1,30 @@
 """Shared deterministic generators for fuzzed inputs, and reference oracles
-(the set-based twins of the ``james_monoid`` bitmask stage engine among them)."""
+(the set-based twins of the ``james_monoid`` bitmask stage engine and the
+scan-based twins of the ``orders`` embedding and extension among them)."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from tauword import free_words as fw
 from tauword import rearrange as ra
 from tauword import word_expr as we
 from tauword.james_monoid import FiniteSpaceModel, Tuple_, Word, q_tuple
+from tauword.orders import (
+    _CEILING,
+    CantorComponent,
+    IntegersZeta,
+    Omega,
+    OmegaPlusOmega,
+    OrderSpec,
+    Rationals,
+    compare,
+    least_component_in,
+    theta,
+    theta_inv,
+)
 
 
 def make_rng(seed: int) -> random.Random:
@@ -233,3 +247,159 @@ def check_saturated(m: FiniteSpaceModel, tuples, n: int) -> bool:
     for w in image:
         preimage.update(fiber(m, w, n))
     return preimage == tuples
+
+
+def _scaled_keys(ms: Sequence[int]) -> list[int]:
+    """The keys (2m+1)/2^L of the components ms, as integers on one scale 2^k."""
+    k = max((m.bit_length() for m in ms), default=0)
+    return [(2 * m + 1) << (k - m.bit_length()) for m in ms]
+
+
+class ScanEmbedding:
+    """Reference for ``orders.Embedding``: the scan-based placement.
+
+    Canonical order embedding of a source order into the components.
+
+    Elements are placed in index order; element i goes to the least-numbered
+    component fitting strictly between the images of its already-placed
+    neighbours, with the fixed ceiling component 1 = (1/3, 2/3) as a
+    global upper bound.  The ceiling keeps images of upper-unbounded sources
+    bounded above by a component.  Deterministic and memoized; placing index
+    n touches only the n-1 earlier placements.
+
+    The memo is internal mutable state: use an instance from one thread, or
+    guard it externally.
+    """
+
+    def __init__(self, spec: OrderSpec):
+        self.spec = spec
+        self._images: list[int] = []  # component number of source index i at i-1
+        self._membership: dict[int, Optional[int]] = {}
+
+    def ensure(self, count: int) -> None:
+        if self.spec.size is not None:
+            count = min(count, self.spec.size)
+        while len(self._images) < count:
+            self._place_next()
+
+    def _place_next(self) -> None:
+        i = len(self._images) + 1
+        keys = _scaled_keys(self._images)
+        left: list[tuple[int, int]] = []  # (key, component number)
+        right: list[tuple[int, int]] = []
+        for j, pair in enumerate(zip(keys, self._images), start=1):
+            side = self.spec.cmp(j, i)
+            if side == 0:
+                raise ValueError(f"source indices {j} and {i} compare equal")
+            (left if side < 0 else right).append(pair)
+        lower = max(left)[1] if left else None
+        upper = min(right)[1] if right else _CEILING
+        self._images.append(least_component_in(lower, upper))
+
+    def __call__(self, i: int) -> CantorComponent:
+        return theta(self.image_index(i))
+
+    def image_index(self, i: int) -> int:
+        """Component number of the image of source index i."""
+        self.spec.check_index(i)
+        self.ensure(i)
+        return self._images[i - 1]
+
+    def index_of_component(self, m: int, max_steps: int = 200000) -> Optional[int]:
+        """Source index mapped to component m, or None if m is never hit.
+
+        Decided by simulating placements with a per-source stopping rule:
+        finite sources are exhausted; for omega, zeta, and omega+omega the
+        image frontiers are monotone, so a candidate is excluded once the
+        relevant frontier passes it; the rationals source provably hits every
+        component left of the ceiling.
+        """
+        if m in self._membership:
+            return self._membership[m]
+        result = self._decide_membership(m, max_steps)
+        self._membership[m] = result
+        return result
+
+    def _decide_membership(self, m: int, max_steps: int) -> Optional[int]:
+        if compare(m, _CEILING) >= 0:
+            return None  # images live strictly left of the ceiling
+        for i, img in enumerate(self._images, start=1):
+            if img == m:
+                return i
+        spec = self.spec
+        if spec.size is not None:
+            self.ensure(spec.size)
+            for i, img in enumerate(self._images, start=1):
+                if img == m:
+                    return i
+            return None
+        for _ in range(max_steps):
+            if self._excluded(m):
+                return None
+            self._place_next()
+            if self._images[-1] == m:
+                return len(self._images)
+        raise RuntimeError(f"membership of component {m} undecided after {max_steps} steps")
+
+    def _excluded(self, m: int) -> bool:
+        if not self._images:
+            return False
+        *keys, target = _scaled_keys([*self._images, m])
+        spec = self.spec
+        if isinstance(spec, Omega):
+            return max(keys) > target
+        if isinstance(spec, IntegersZeta):
+            return min(keys) < target < max(keys)
+        if isinstance(spec, OmegaPlusOmega):
+            first, second = keys[0::2], keys[1::2]
+            if first and target < max(first):
+                return True  # below the first copy's ascending frontier
+            if len(second) >= 2 and second[0] < target < max(second):
+                return True  # strictly inside the second copy's span
+            return False
+        if isinstance(spec, Rationals):
+            return False  # every component left of the ceiling is eventually hit
+        raise RuntimeError(f"no membership rule for source {spec}")
+
+
+class CountingExtendedBijection:
+    """Reference for ``orders.ExtendedBijection``: the counting-rank ``phi``.
+
+    Bijection of all components extending nu o psi o mu^-1.
+
+    Component numbers in the image of mu map through psi; the rest are
+    matched to the complement of nu's image in increasing numeric order.
+    phi is the induced bijection of component numbers.
+    """
+
+    def __init__(self, mu, nu, psi: Callable[[int], int]):
+        self.mu = mu
+        self.nu = nu
+        self.psi = psi
+        self._phi_cache: dict[int, int] = {}
+
+    def phi(self, n: int) -> int:
+        if n in self._phi_cache:
+            return self._phi_cache[n]
+        i = self.mu.index_of_component(n)
+        if i is not None:
+            result = self.nu.image_index(self.psi(i))
+        else:
+            rank = sum(
+                1 for j in range(1, n + 1) if self.mu.index_of_component(j) is None
+            )
+            result = self._nth_complement_of_nu(rank)
+        self._phi_cache[n] = result
+        return result
+
+    def component_map(self, c: CantorComponent) -> CantorComponent:
+        return theta(self.phi(theta_inv(c)))
+
+    def _nth_complement_of_nu(self, rank: int) -> int:
+        count = 0
+        j = 0
+        while count < rank:
+            j += 1
+            if self.nu.index_of_component(j) is None:
+                count += 1
+        return j

@@ -388,6 +388,146 @@ def test_wedge_relator_width_mismatch_is_input_error(tmp_path, capsys):
     assert "relator width 1" in err and "Traceback" not in err
 
 
+def write_json(tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def letter_file(tmp_path, index=1):
+    return write_json(tmp_path, "letter.json", we.to_json(we.Letter(index, 1)))
+
+
+@pytest.mark.parametrize(
+    "extra, where",
+    [
+        ({"repeat_from": 1.5}, "repeat_from: expected an integer in 0..0, got 1.5"),
+        ({"repeat_from": 5}, "repeat_from: expected an integer in 0..0, got 5"),
+        ({"repeat_from": -3}, "repeat_from: expected an integer in 0..0, got -3"),
+        ({"repeat_from": True}, "repeat_from: expected an integer in 0..0, got True"),
+        ({"letters": {"1": {"block": 1, "gen": "x"}}}, "letters['1'].gen: expected an integer >= 1, got 'x'"),
+        ({"letters": {"1": {"block": 0, "gen": 1}}}, "letters['1'].block: expected an integer >= 1, got 0"),
+        ({"letters": {"1": {"gen": 1}}}, "letters['1'].block: expected an integer >= 1, got None"),
+        ({"letters": {"1": [1, 1]}}, "letters['1']: expected an object, got list"),
+        ({"letters": {"x": {"block": 1, "gen": 1}}}, "letters['x']: expected a letter number >= 1"),
+        ({"letters": [1]}, "letters: expected an object, got list"),
+    ],
+    ids=[
+        "float_repeat_from",
+        "repeat_from_past_end",
+        "negative_repeat_from",
+        "bool_repeat_from",
+        "str_gen",
+        "zero_block",
+        "missing_block",
+        "list_letter_entry",
+        "letter_key_not_a_number",
+        "letters_list",
+    ],
+)
+def test_malformed_presentations_fields_are_input_errors(tmp_path, capsys, extra, where):
+    pres = write_json(tmp_path, "pres.json", {"blocks": [{"generators": 1, "relators": []}], **extra})
+    code, out, err = run(
+        capsys, "wedge", "--expr", letter_file(tmp_path), "--presentations", pres, "--blocks", "3"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read presentations {pres!r}: {where}\n"
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"blocks": []}, "presentations file declares no blocks"),
+        ([{"generators": 1}], "expected an object with a 'blocks' list"),
+        ({"blocks": 5}, "expected an object with a 'blocks' list"),
+    ],
+    ids=["no_blocks", "top_level_list", "int_blocks"],
+)
+def test_presentations_without_blocks_are_input_errors(tmp_path, capsys, blob, message):
+    pres = write_json(tmp_path, "pres.json", blob)
+    code, out, err = run(capsys, "wedge", "--expr", letter_file(tmp_path), "--presentations", pres)
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err
+
+
+def test_wedge_letter_map_errors(tmp_path, capsys):
+    pres = write_json(
+        tmp_path, "pres.json", {"blocks": [{"generators": 1}], "letters": {"1": {"block": 1, "gen": 2}}}
+    )
+    code, out, err = run(capsys, "wedge", "--expr", letter_file(tmp_path), "--presentations", pres)
+    assert (code, out, err) == (1, "", "error: letter 1 maps to missing generator 2 in block 1\n")
+    code, out, err = run(capsys, "wedge", "--builtin", "ell_infinity", "--presentations", pres)
+    assert (code, out, err) == (1, "", "error: an explicit letter map needs a finite-support image\n")
+
+
+def deep_inverse_file(tmp_path, depth=3000):
+    """An expression file nesting ``depth`` inverse nodes, written as text
+    because ``json.dumps`` itself recurses once per level."""
+    path = tmp_path / "deep.json"
+    leaf = json.dumps(we.to_json(we.Letter(1, 1)))
+    path.write_text('{"type": "inverse", "of": ' * depth + leaf + "}" * depth)
+    return str(path)
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    deep = deep_inverse_file(tmp_path)
+    code, out, err = run(capsys, "project", "--expr", deep, "--n", "2")
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.startswith(f"error: cannot read expression {deep!r}: maximum recursion depth")
+    code, out, err = run(capsys, "shuffle", "--builtin", "ell_infinity", "--bijection", deep)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read bijection {deep!r}: maximum recursion depth")
+    code, out, err = run(capsys, "wedge", "--builtin", "ell_tau", "--presentations", deep)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read presentations {deep!r}: maximum recursion depth")
+
+
+def test_factor_at_depth_zero_needs_a_positive_level(capsys):
+    code, out, err = run(capsys, "factor", "--builtin", "flattened_commutator_product", "--depth", "0")
+    assert (code, out, err) == (1, "", "error: projection level must be positive\n")
+
+
+def test_orders_embed_finite_chain_and_unknown_spec(capsys):
+    code, out, _ = run(capsys, "orders", "embed", "chain(4)", "--count", "10")
+    assert code == 0
+    assert out.splitlines() == [
+        "1 -> I(2,1) = (1/9, 2/9)",
+        "2 -> I(3,2) = (7/27, 8/27)",
+        "3 -> I(4,4) = (25/81, 26/81)",
+        "4 -> I(5,8) = (79/243, 80/243)",
+    ]
+    code, out, err = run(capsys, "orders", "embed", "chainx")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown order spec 'chainx'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "fibers", "--n", "9"], "fiber enumeration is bounded to n <= 8"),
+        (["--check", "nbhd", "--n", "4"], "neighbourhood sweeps are bounded to n <= 3"),
+    ],
+    ids=["fibers_n9", "nbhd_n4"],
+)
+def test_james_size_bounds_are_input_errors(model_file, capsys, argv, message):
+    code, out, err = run(capsys, "james", "--model", model_file, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_james_rejects_a_model_over_the_point_bound(tmp_path, capsys):
+    path = tmp_path / "model5.txt"
+    path.write_text("points: e a b c d; base: e; le: e<a")
+    code, out, err = run(capsys, "james", "--model", str(path), "--check", "fibers", "--n", "2")
+    assert (code, out, err) == (1, "", "error: model has 5 points, bound is 4\n")
+
+
+def test_shuffle_input_errors(tmp_path, capsys):
+    code, out, err = run(capsys, "shuffle", "--builtin", "ell_tau", "--named", "nope")
+    assert (code, out, err) == (1, "", "error: unknown named bijection 'nope'\n")
+    code, out, err = run(capsys, "shuffle", "--expr", letter_file(tmp_path), "--named", "identity")
+    assert (code, out, err) == (1, "", "error: rearrangement applies to infinite products\n")
+
+
 SAMPLES = Path(__file__).parent.parent / "samples"
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from tauword import orders
 
-from conftest import make_rng
+from conftest import CountingExtendedBijection, ScanEmbedding, make_rng
 
 SENTINEL = Fraction(1, 3)
 
@@ -231,6 +231,80 @@ def test_membership_found_and_excluded():
             assert result is not None and result > top
         elif result is not None:
             assert result > top
+
+
+def test_embedding_images_match_scan_oracle():
+    for spec in ALL_SPECS:
+        top = spec.size if spec.size is not None else 300
+        emb, oracle = orders.Embedding(spec), ScanEmbedding(spec)
+        got = [emb.image_index(i) for i in range(1, top + 1)]
+        assert got == [oracle.image_index(i) for i in range(1, top + 1)], spec.name
+
+
+def test_membership_matches_scan_oracle():
+    for spec in ALL_SPECS:
+        # the rationals decide m only by placing every component up to m's level
+        bound = 512 if isinstance(spec, orders.Rationals) else 1500
+        emb, oracle = orders.Embedding(spec), ScanEmbedding(spec)
+        got = [emb.index_of_component(m) for m in range(1, bound)]
+        assert got == [oracle.index_of_component(m) for m in range(1, bound)], spec.name
+        # the same answers once many images are already placed
+        warm = orders.Embedding(spec)
+        warm.ensure(300)
+        assert [warm.index_of_component(m) for m in range(1, bound)] == got, spec.name
+
+
+class _Ties(orders.OrderSpec):
+    name = "ties"
+
+    def key(self, i):
+        return i // 2
+
+
+def test_equal_keys_rejected_like_scan_oracle():
+    for make in (orders.Embedding, ScanEmbedding):
+        with pytest.raises(ValueError, match="^source indices 2 and 3 compare equal$"):
+            make(_Ties()).ensure(3)
+
+
+def _extension_cases():
+    perm = {1: 3, 2: 1, 3: 2, 4: 7, 5: 5, 6: 4, 7: 6}
+    values = [Fraction(3), Fraction(-1), Fraction(7, 2), Fraction(0), Fraction(2), Fraction(11), Fraction(-5)]
+    return [
+        # i <-> -i on the integers
+        (orders.IntegersZeta(), orders.IntegersZeta(), lambda i: i if i == 1 else i + 1 - 2 * (i % 2)),
+        # the two copies swapped
+        (orders.OmegaPlusOmega(), orders.OmegaPlusOmega(), lambda i: i + 1 if i % 2 else i - 1),
+        (orders.FiniteChain(7), orders.FiniteChain(7), perm.__getitem__),
+        (orders.FiniteChain(7), orders.ExplicitFinite(values), perm.__getitem__),
+        (orders.Omega(), orders.IntegersZeta(), lambda i: i),
+    ]
+
+
+def test_phi_matches_counting_oracle():
+    for mu_spec, nu_spec, psi in _extension_cases():
+        oracle = CountingExtendedBijection(ScanEmbedding(mu_spec), ScanEmbedding(nu_spec), psi)
+        expected = [oracle.phi(n) for n in range(1, 400)]
+        _, phi = orders.extend_bijection(orders.Embedding(mu_spec), orders.Embedding(nu_spec), psi)
+        assert [phi(n) for n in range(1, 400)] == expected, (mu_spec.name, nu_spec.name)
+        # queried from the top down, the scans start deep and fill in below
+        _, phi = orders.extend_bijection(orders.Embedding(mu_spec), orders.Embedding(nu_spec), psi)
+        assert [phi(n) for n in range(399, 0, -1)] == expected[::-1], (mu_spec.name, nu_spec.name)
+
+
+def test_phi_asks_each_membership_a_bounded_number_of_times(monkeypatch):
+    calls = []
+    lookup = orders.Embedding.index_of_component
+    monkeypatch.setattr(
+        orders.Embedding, "index_of_component", lambda self, m: calls.append(m) or lookup(self, m)
+    )
+    mu = orders.Embedding(orders.FiniteChain(5))
+    nu = orders.Embedding(orders.FiniteChain(5))
+    _, phi = orders.extend_bijection(mu, nu, {1: 2, 2: 1, 3: 3, 4: 5, 5: 4})
+    queried = [phi(n) for n in range(1, 501)]
+    assert sorted(queried) == list(range(1, 501))
+    # one lookup per query, plus one per component as each complement is scanned once
+    assert len(calls) <= 3 * 500
 
 
 def test_extend_bijection_identity_cases():

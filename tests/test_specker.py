@@ -253,6 +253,18 @@ def test_snf_against_determinantal_divisors():
         assert [d for d in diag if d != 0] == expected
 
 
+def test_snf_chain_holds_on_diagonals_out_of_divisibility_order():
+    # diagonal inputs whose entries do not divide each other in order: the
+    # pivot rule alone leaves the chain d_i | d_{i+1} and the zeros last
+    rng = make_rng(211)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        entries = [rng.choice([0, 2, 3, 4, 5, 6, 9, 10, 12]) for _ in range(n)]
+        a = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        diag = assert_valid_snf(a)
+        assert [d for d in diag if d != 0] == invariant_factors_by_minors(a)
+
+
 def test_h1_examples():
     assert sp.h1_from_presentation([], generators=2) == (2, [])
     assert sp.h1_from_presentation([[2]]) == (0, [2])
