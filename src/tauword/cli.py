@@ -65,7 +65,7 @@ def _load_exprs(ns, want: int) -> list[word_expr.WordExpr]:
             try:
                 with open(value) as fh:
                     expr = word_expr.from_json(json.load(fh))
-            except (OSError, json.JSONDecodeError, RecursionError, word_expr.ValidationError, KeyError) as exc:
+            except (OSError, json.JSONDecodeError, RecursionError, word_expr.ValidationError) as exc:
                 raise InputError(f"cannot read expression {value!r}: {exc}") from exc
         report = word_expr.validate(expr)
         if report:
@@ -146,7 +146,7 @@ def _load_bijection(ns) -> rearrange.BijectionSpec:
     try:
         with open(ns.bijection) as fh:
             return rearrange.bijection_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, RecursionError, rearrange.MalformedBijectionError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, rearrange.MalformedBijectionError) as exc:
         raise InputError(f"cannot read bijection {ns.bijection!r}: {exc}") from exc
 
 

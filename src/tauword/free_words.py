@@ -162,35 +162,31 @@ def commutator_decompose(w: ReducedWord) -> list[tuple[ReducedWord, ReducedWord]
     satisfy ``reduce(prod [a_i, b_i]) == w`` and there are at most
     ``w.syllable_count`` of them.
 
-    Strategy: insertion-sort the syllables into weakly increasing letter
-    order.  Moving syllable ``a`` left across the maximal out-of-order block
-    ``B`` rewrites ``P B a S`` as ``(P [B, a] P^-1) P a B S``, emitting one
-    conjugated commutator per moved syllable.  The fully sorted word merges
-    per letter to exponent zero, i.e. to the identity, so the emitted
-    commutators multiply out to w.
+    Strategy: peel the letters off in increasing order.  With x the smallest
+    letter, ``w = u_0 x^e_1 u_1 ... x^e_k u_k``, ``U_i = u_0 ... u_i`` and
+    ``E_i = e_1 + ... + e_i`` (``E_k = 0``), moving each power of x to the
+    right gives ``w = prod_i [x^E_(i-1) U_(i-1) x^-E_(i-1), x^e_i] * U_k``,
+    and ``U_k = delete_letter(w, x)`` is peeled next.  So every pair is
+    ``(a, x^e)`` with ``a`` in letters >= x; it is trivial, and skipped,
+    exactly when ``U_(i-1)`` reduces to the identity.
     """
     if exponent_sums(w):
         raise NotInCommutatorSubgroupError(
             f"nonzero exponent sums {exponent_sums(w)}: not in the commutator subgroup"
         )
     pairs: list[tuple[ReducedWord, ReducedWord]] = []
-    syls = list(w.syllables)
-    for i in range(1, len(syls)):
-        letter = syls[i][0]
-        j = i
-        while j > 0 and syls[j - 1][0] > letter:
-            j -= 1
-        if j == i:
-            continue
-        prefix = syls[:j]
-        block = syls[j:i]
-        a = syls[i]
-        inv_prefix = [(l, -e) for l, e in reversed(prefix)]
-        left = reduce(prefix + block + inv_prefix)
-        right = reduce(prefix + [a] + inv_prefix)
-        if commutator(left, right):
-            pairs.append((left, right))
-        syls[j:i + 1] = [a] + block
+    while w.syllables:
+        x = min(l for l, _ in w.syllables)
+        before: list[Syllable] = []  # u_0 ... u_(i-1)
+        total = 0  # E_(i-1)
+        for letter, exp in w.syllables:
+            if letter != x:
+                before.append((letter, exp))
+                continue
+            if u := reduce(before):
+                pairs.append((reduce([(x, total), *u.syllables, (x, -total)]), ReducedWord(((x, exp),))))
+            total += exp
+        w = delete_letter(w, x)
     return pairs
 
 

@@ -261,15 +261,18 @@ def bijection_from_json(obj) -> BijectionSpec:
     if not isinstance(obj, dict):
         raise MalformedBijectionError(f"a bijection must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "finite":
-        return FiniteSupport(tuple(_int_list(c, "cycle") for c in _list(obj["cycles"], "cycles")))
-    if kind == "block":
-        period = obj["period"]
-        if type(period) is not int:
-            raise MalformedBijectionError(f"period must be an integer, got {period!r}")
-        return BlockPermute(period, _int_list(obj["perm"], "perm"))
-    if kind == "compose":
-        return Compose(tuple(bijection_from_json(p) for p in _list(obj["of"], "of")))
+    try:
+        if kind == "finite":
+            return FiniteSupport(tuple(_int_list(c, "cycle") for c in _list(obj["cycles"], "cycles")))
+        if kind == "block":
+            period = obj["period"]
+            if type(period) is not int:
+                raise MalformedBijectionError(f"period must be an integer, got {period!r}")
+            return BlockPermute(period, _int_list(obj["perm"], "perm"))
+        if kind == "compose":
+            return Compose(tuple(bijection_from_json(p) for p in _list(obj["of"], "of")))
+    except KeyError as exc:  # a required field of this bijection; nested ones raise their own error
+        raise MalformedBijectionError(f"missing field {exc.args[0]!r} in a {kind} bijection") from None
     raise MalformedBijectionError(f"unknown bijection kind {kind!r}")
 
 

@@ -28,7 +28,6 @@ from .free_words import (
     ReducedWord,
     concat_all,
     delete_above,
-    delete_letter,
     commutator_decompose,
     invert,
     reduce,
@@ -524,13 +523,11 @@ def commutator_factorization(e: WordExpr, depth: int = 12) -> SeqSpec:
 
     The returned factor sequence has stage n a finite product of commutators
     of words in letters >= n, and its projections agree with the input's at
-    every level up to the requested depth.  Stage n is produced by peeling
-    the letter-n syllables: with beta_0 the depth-level projection,
-    beta_n deletes letter n from beta_{n-1}, and the quotient
-    beta_{n-1} beta_n^-1 has zero exponent sums, so it decomposes into
-    explicit commutators.  An input already in factored form (a product of
-    commutator blocks whose stage-n factor stays in letters >= n) is
-    returned unchanged.
+    every level up to the requested depth.  The stages are read off one
+    ``commutator_decompose`` of the depth-level projection, which peels the
+    letters in increasing order: stage n holds its pairs ``(a, l_n^e)``.
+    An input already in factored form (a product of commutator blocks whose
+    stage-n factor stays in letters >= n) is returned unchanged.
     """
     ensure_valid(e)
     if not _eta(e).is_zero:
@@ -539,19 +536,10 @@ def commutator_factorization(e: WordExpr, depth: int = 12) -> SeqSpec:
         return e.spec
     if depth < 1:
         raise ValueError("projection level must be positive")
-    beta = _project(e, depth)
-    stages: list[WordExpr] = []
-    for n in range(1, depth + 1):
-        beta_next = delete_letter(beta, n)
-        gamma = concat_all([beta, invert(beta_next)])
-        pairs = commutator_decompose(gamma)
-        stages.append(
-            Concat(tuple(commutator_expr(word_to_expr(a), word_to_expr(b)) for a, b in pairs))
-        )
-        beta = beta_next
-    if not beta.is_identity:
-        raise RuntimeError(f"stage peeling left {beta} after {depth} letters")
-    return SeqSpec(tuple(stages), Trivial())
+    stages: list[list[WordExpr]] = [[] for _ in range(depth)]
+    for a, b in commutator_decompose(_project(e, depth)):
+        stages[b.syllables[0][0] - 1].append(commutator_expr(word_to_expr(a), word_to_expr(b)))
+    return SeqSpec(tuple(Concat(tuple(stage)) for stage in stages), Trivial())
 
 
 def _already_factored(spec: SeqSpec) -> bool:
@@ -639,32 +627,41 @@ def from_json(obj) -> WordExpr:
 def _decode(obj, path: str) -> WordExpr:
     node = _json_object(obj, path)
     kind = node.get("type")
-    if kind == "letter":
-        if "index" in node:
-            return Letter(_json_int(node["index"], f"{path}.index"), _json_int(node.get("exp", 1), f"{path}.exp"))
-        return SymLetter(
-            _json_int(node["base"], f"{path}.base"),
-            _json_int(node["coef"], f"{path}.coef"),
-            _json_int(node.get("exp", 1), f"{path}.exp"),
-        )
-    if kind == "concat":
-        return Concat(_decode_all(node["factors"], f"{path}.factors"))
-    if kind == "inverse":
-        return Inverse(_decode(node["of"], f"{path}.of"))
-    if kind in ("omega", "tau"):
-        tail_path = f"{path}.tail"
-        tail_obj = _json_object(node["tail"], tail_path)
-        if tail_obj["kind"] == "trivial":
-            tail: TailRule = Trivial()
-        elif tail_obj["kind"] == "template":
-            if "bodies" in tail_obj:
-                tail = Template(_decode_all(tail_obj["bodies"], f"{tail_path}.bodies"))
+    try:
+        if kind == "letter":
+            if "index" in node:
+                return Letter(_json_int(node["index"], f"{path}.index"), _json_int(node.get("exp", 1), f"{path}.exp"))
+            if "base" not in node:
+                raise ValidationError([f"{path}: missing field 'index' or 'base'"])
+            return SymLetter(
+                _json_int(node["base"], f"{path}.base"),
+                _json_int(node["coef"], f"{path}.coef"),
+                _json_int(node.get("exp", 1), f"{path}.exp"),
+            )
+        if kind == "concat":
+            return Concat(_decode_all(node["factors"], f"{path}.factors"))
+        if kind == "inverse":
+            return Inverse(_decode(node["of"], f"{path}.of"))
+        if kind in ("omega", "tau"):
+            tail_path = f"{path}.tail"
+            tail_obj = _json_object(node["tail"], tail_path)
+            if "kind" not in tail_obj:
+                raise ValidationError([f"{tail_path}: missing field 'kind'"])
+            if tail_obj["kind"] == "trivial":
+                tail: TailRule = Trivial()
+            elif tail_obj["kind"] == "template":
+                if "bodies" in tail_obj:
+                    tail = Template(_decode_all(tail_obj["bodies"], f"{tail_path}.bodies"))
+                elif "body" in tail_obj:
+                    tail = Template((_decode(tail_obj["body"], f"{tail_path}.body"),))
+                else:
+                    raise ValidationError([f"{tail_path}: missing field 'body' or 'bodies'"])
             else:
-                tail = Template((_decode(tail_obj["body"], f"{tail_path}.body"),))
-        else:
-            raise ValidationError([f"unknown tail kind {tail_obj['kind']!r}"])
-        spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix"), tail)
-        return OmegaProd(spec) if kind == "omega" else TauProd(spec)
+                raise ValidationError([f"unknown tail kind {tail_obj['kind']!r}"])
+            spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix"), tail)
+            return OmegaProd(spec) if kind == "omega" else TauProd(spec)
+    except KeyError as exc:  # a required field of this node; nested nodes raise ValidationError
+        raise ValidationError([f"{path}: missing field {exc.args[0]!r}"]) from None
     raise ValidationError([f"unknown expression type {kind!r}"])
 
 

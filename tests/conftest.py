@@ -1,6 +1,7 @@
 """Shared deterministic generators for fuzzed inputs, and reference oracles
-(the set-based twins of the ``james_monoid`` bitmask stage engine and the
-scan-based twins of the ``orders`` embedding and extension among them)."""
+(the set-based twins of the ``james_monoid`` bitmask stage engine, the
+scan-based twins of the ``orders`` embedding and extension, and the sorting
+twin of the letter-peeling ``commutator_decompose`` among them)."""
 
 from __future__ import annotations
 
@@ -164,6 +165,41 @@ def equal_up_to_by_levels(a, b, n_max: int) -> we.EqualityResult:
         if wa != wb:
             return we.EqualityResult(False, n, wa, wb)
     return we.EqualityResult(True)
+
+
+def commutator_decompose_by_sorting(w: fw.ReducedWord) -> list[tuple[fw.ReducedWord, fw.ReducedWord]]:
+    """Reference for ``commutator_decompose``: write w as an explicit product
+    of commutators by insertion-sorting its syllables.
+
+    Moving syllable ``a`` left across the maximal out-of-order block ``B``
+    rewrites ``P B a S`` as ``(P [B, a] P^-1) P a B S``, emitting one
+    conjugated commutator per moved syllable.  The fully sorted word merges
+    per letter to exponent zero, i.e. to the identity, so the emitted
+    commutators multiply out to w.
+    """
+    if fw.exponent_sums(w):
+        raise fw.NotInCommutatorSubgroupError(
+            f"nonzero exponent sums {fw.exponent_sums(w)}: not in the commutator subgroup"
+        )
+    pairs: list[tuple[fw.ReducedWord, fw.ReducedWord]] = []
+    syls = list(w.syllables)
+    for i in range(1, len(syls)):
+        letter = syls[i][0]
+        j = i
+        while j > 0 and syls[j - 1][0] > letter:
+            j -= 1
+        if j == i:
+            continue
+        prefix = syls[:j]
+        block = syls[j:i]
+        a = syls[i]
+        inv_prefix = [(l, -e) for l, e in reversed(prefix)]
+        left = fw.reduce(prefix + block + inv_prefix)
+        right = fw.reduce(prefix + [a] + inv_prefix)
+        if fw.commutator(left, right):
+            pairs.append((left, right))
+        syls[j:i + 1] = [a] + block
+    return pairs
 
 
 def swapped_pair(rng, max_letter=10) -> tuple[we.WordExpr, we.WordExpr]:

@@ -285,6 +285,60 @@ def test_malformed_bijection_is_input_error(tmp_path, capsys, blob, where):
 
 
 @pytest.mark.parametrize(
+    "blob, where",
+    [
+        ({"type": "letter"}, "expr: missing field 'index' or 'base'"),
+        (
+            {"type": "concat", "factors": [{"type": "letter", "exp": 2}]},
+            "expr.factors[0]: missing field 'index' or 'base'",
+        ),
+        (
+            {"type": "omega", "prefix": [], "tail": {"kind": "template", "body": {"type": "letter", "base": 1}}},
+            "expr.tail.body: missing field 'coef'",
+        ),
+        ({"type": "concat"}, "expr: missing field 'factors'"),
+        ({"type": "inverse"}, "expr: missing field 'of'"),
+        ({"type": "omega", "tail": {"kind": "trivial"}}, "expr: missing field 'prefix'"),
+        ({"type": "tau", "prefix": []}, "expr: missing field 'tail'"),
+        ({"type": "omega", "prefix": [], "tail": {}}, "expr.tail: missing field 'kind'"),
+        ({"type": "tau", "prefix": [], "tail": {"kind": "template"}}, "expr.tail: missing field 'body' or 'bodies'"),
+    ],
+    ids=[
+        "letter",
+        "nested_letter",
+        "coef",
+        "factors",
+        "of",
+        "prefix",
+        "tail",
+        "tail_kind",
+        "template_body",
+    ],
+)
+def test_missing_expression_field_is_input_error(tmp_path, capsys, blob, where):
+    path = write_json(tmp_path, "bad.json", blob)
+    code, out, err = run(capsys, "eta", "--expr", path)
+    assert (code, out, err) == (1, "", f"error: cannot read expression {path!r}: {where}\n")
+
+
+@pytest.mark.parametrize(
+    "blob, where",
+    [
+        ({"kind": "finite"}, "missing field 'cycles' in a finite bijection"),
+        ({"kind": "block", "perm": [1, 0]}, "missing field 'period' in a block bijection"),
+        ({"kind": "block", "period": 2}, "missing field 'perm' in a block bijection"),
+        ({"kind": "compose"}, "missing field 'of' in a compose bijection"),
+        ({"kind": "compose", "of": [{"kind": "block"}]}, "missing field 'period' in a block bijection"),
+    ],
+    ids=["cycles", "period", "perm", "of", "nested_period"],
+)
+def test_missing_bijection_field_is_input_error(tmp_path, capsys, blob, where):
+    path = write_json(tmp_path, "bad.json", blob)
+    code, out, err = run(capsys, "shuffle", "--builtin", "ell_infinity", "--bijection", path)
+    assert (code, out, err) == (1, "", f"error: cannot read bijection {path!r}: {where}\n")
+
+
+@pytest.mark.parametrize(
     "blocks",
     [
         [{"relators": []}],

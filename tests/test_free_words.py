@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from tauword import free_words as fw
 
-from conftest import make_rng, random_word, random_zero_sum_word
+from conftest import commutator_decompose_by_sorting, make_rng, random_word, random_zero_sum_word
 
 syllable = st.tuples(st.integers(1, 8), st.integers(-4, 4))
 raw_words = st.lists(syllable, max_size=12)
@@ -130,6 +130,35 @@ def test_decomposition_letters_stay_inside_word():
         for a, b in fw.commutator_decompose(w):
             assert {l for l, _ in a.syllables} <= letters
             assert {l for l, _ in b.syllables} <= letters
+
+
+def peeling_words(count=500):
+    rng = make_rng(106)
+    return [random_zero_sum_word(rng, max_pairs=16, max_letter=8) for _ in range(count)]
+
+
+def test_commutator_decompose_peels_letters_in_order():
+    peeled = 0
+    for w in peeling_words():
+        x = 0
+        for a, b in fw.commutator_decompose(w):
+            assert len(b.syllables) == 1  # b = l_y^e
+            y = b.syllables[0][0]
+            assert y >= x
+            assert a and min(l for l, _ in a.syllables) >= y
+            x = y
+            peeled += 1
+    assert peeled > 500
+
+
+@pytest.mark.parametrize(
+    "decompose", [fw.commutator_decompose, commutator_decompose_by_sorting], ids=["peeling", "sorting"]
+)
+def test_decompositions_reassemble_within_pair_bound(decompose):
+    for w in peeling_words():
+        pairs = decompose(w)
+        assert fw.reassemble(pairs) == w
+        assert len(pairs) <= w.syllable_count
 
 
 def test_text_round_trip():

@@ -350,6 +350,41 @@ def test_factorization_fuzzed_round_trip():
             assert we._is_commutator_blocks(stage)
 
 
+def check_stages_are_letter_quotients(e, depth):
+    """Stage n multiplies out to beta_{n-1} beta_n^-1, where beta_0 is the
+    depth-level projection and beta_n deletes letter n from beta_{n-1}, and
+    each of its commutators is [a, l_n^e] with a in letters >= n."""
+    spec = we.commutator_factorization(e, depth)
+    assert len(spec.prefix) == depth
+    beta = we.project(e, depth)
+    for n, stage in enumerate(spec.prefix, start=1):
+        beta_next = fw.delete_letter(beta, n)
+        assert we.project(stage, depth) == fw.concat(beta, fw.invert(beta_next))
+        for block in stage.factors:
+            a, b, inv_a, inv_b = block.factors
+            assert isinstance(b, we.Letter) and b.index == n
+            assert (inv_a, inv_b) == (we.Inverse(a), we.Inverse(b))
+            assert we.finite_min_letter(a) >= n
+        beta = beta_next
+    assert beta.is_identity
+
+
+def test_factorization_stages_are_letter_quotients_fuzzed():
+    rng = make_rng(511)
+    checked = 0
+    while checked < 40:
+        e = random_zero_eta_expr(rng)
+        if isinstance(e, we.OmegaProd) and we._already_factored(e.spec):
+            continue
+        check_stages_are_letter_quotients(e, rng.randint(1, 40))
+        checked += 1
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 20, 40])
+def test_factorization_stages_are_letter_quotients_tau_commutators(depth):
+    check_stages_are_letter_quotients(we.TauProd(we.commutator_product().spec), depth)
+
+
 # ---------------------------------------------------------------------------
 # double-sequence flattenings (the order type stays out of the grammar)
 # ---------------------------------------------------------------------------
