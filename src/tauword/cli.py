@@ -1,10 +1,10 @@
 """Batch command line front end.
 
 Subcommands: project, eta, equal, shuffle, factor, abelianize, james, orders,
-wedge.  Input files are canonical JSON for expressions and bijections, plain
-text for models, presentations, and vectors.  Reports render as text or as
-canonical JSON (sorted keys, no floats); identical inputs and seed produce
-byte-identical JSON reports.
+wedge.  Input files are JSON for expressions, bijections and presentations,
+plain text for models; the library modules decode them and compute.  Reports
+render as text or as canonical JSON (sorted keys, no floats); identical inputs
+and seed produce byte-identical JSON reports.
 
 Exit codes: 0 success, 1 input error, 2 a conclusive negative verdict
 (inequality witness or a failed property check).
@@ -17,11 +17,16 @@ import functools
 import json
 import sys
 
-from . import free_words, james_monoid, orders, rearrange, specker, word_expr
+from . import james_monoid, orders, rearrange, specker, word_expr
 
 
 class InputError(Exception):
     pass
+
+
+# Omega images climb one level per index, so an embed report's last endpoints have
+# about count/2 digits: below Python's 4300-digit int-to-str limit, in a report of 20 MB.
+MAX_EMBED_COUNT = 4000
 
 
 class _ExprArg(argparse.Action):
@@ -51,6 +56,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
 
+def _read(path: str, what: str, decode, errors: tuple):
+    """``decode`` of the open file; an exception in ``errors`` becomes a ``cannot read`` input error."""
+    try:
+        with open(path) as fh:
+            return decode(fh)
+    except errors as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _load_exprs(ns, want: int) -> list[word_expr.WordExpr]:
     items = getattr(ns, "exprs", None) or []
     if len(items) != want:
@@ -62,11 +76,8 @@ def _load_exprs(ns, want: int) -> list[word_expr.WordExpr]:
                 raise InputError(f"unknown builtin {value!r}")
             expr = word_expr.BUILTINS[value]()
         else:
-            try:
-                with open(value) as fh:
-                    expr = word_expr.from_json(json.load(fh))
-            except (OSError, json.JSONDecodeError, RecursionError, word_expr.ValidationError) as exc:
-                raise InputError(f"cannot read expression {value!r}: {exc}") from exc
+            expr = _read(value, "expression", lambda fh: word_expr.from_json(json.load(fh)),
+                         (OSError, json.JSONDecodeError, RecursionError, word_expr.ValidationError))
         report = word_expr.validate(expr)
         if report:
             raise InputError("invalid expression: " + "; ".join(report))
@@ -134,20 +145,13 @@ def cmd_equal(ns) -> int:
 
 def _load_bijection(ns) -> rearrange.BijectionSpec:
     if ns.named:
-        named = {
-            "identity": rearrange.identity,
-            "eh_shuffle": rearrange.eh_shuffle,
-        }
-        if ns.named not in named:
+        if ns.named not in rearrange.NAMED:
             raise InputError(f"unknown named bijection {ns.named!r}")
-        return named[ns.named]()
+        return rearrange.NAMED[ns.named]()
     if not ns.bijection:
         raise InputError("need --bijection FILE or --named NAME")
-    try:
-        with open(ns.bijection) as fh:
-            return rearrange.bijection_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, RecursionError, rearrange.MalformedBijectionError) as exc:
-        raise InputError(f"cannot read bijection {ns.bijection!r}: {exc}") from exc
+    return _read(ns.bijection, "bijection", lambda fh: rearrange.bijection_from_json(json.load(fh)),
+                 (OSError, json.JSONDecodeError, RecursionError, rearrange.MalformedBijectionError))
 
 
 def cmd_shuffle(ns) -> int:
@@ -184,11 +188,10 @@ def cmd_shuffle(ns) -> int:
 
 def cmd_factor(ns) -> int:
     (expr,) = _load_exprs(ns, 1)
-    spec = word_expr.commutator_factorization(expr, ns.depth)
-    verified = word_expr.equal_up_to(word_expr.OmegaProd(spec), expr, ns.depth).equal
-    stages = []
-    for i, stage in enumerate(spec.prefix, start=1):
-        stages.append({"stage": i, "word": str(_finite_word(stage))})
+    spec, verified = word_expr.factor(expr, ns.depth)
+    stages = [
+        {"stage": i, "word": str(word_expr.finite_word(stage))} for i, stage in enumerate(spec.prefix, start=1)
+    ]
     report = {
         "command": "factor",
         "depth": ns.depth,
@@ -200,10 +203,6 @@ def cmd_factor(ns) -> int:
     lines.append(f"projections match input up to depth {ns.depth}: {verified}")
     _emit(report, lines, ns.fmt)
     return 0 if verified else 2
-
-
-def _finite_word(e: word_expr.WordExpr) -> free_words.ReducedWord:
-    return word_expr.project(e, 10**9)
 
 
 def cmd_abelianize(ns) -> int:
@@ -227,7 +226,7 @@ def cmd_abelianize(ns) -> int:
             f"canonical coset representative: {rep}",
             f"trivial coset: {rep.is_zero}",
         ]
-    elif ns.target == "griffiths":
+    else:
         verdict, (odd, even) = specker.griffiths_image(v)
         report = {
             "command": "abelianize",
@@ -240,89 +239,47 @@ def cmd_abelianize(ns) -> int:
             f"image: {verdict}",
             f"odd/even splitting certificate: {odd} + {even}",
         ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown target {ns.target!r}")
     report["config"] = _config_echo(ns)
     _emit(report, lines, ns.fmt)
     return 0
 
 
-def _load_model(path: str) -> james_monoid.FiniteSpaceModel:
-    try:
-        with open(path) as fh:
-            return james_monoid.parse_model(fh.read())
-    except (OSError, james_monoid.ModelError) as exc:
-        raise InputError(f"cannot read model {path!r}: {exc}") from exc
-
-
 def cmd_james(ns) -> int:
-    m = _load_model(ns.model)
+    m = _read(ns.model, "model", lambda fh: james_monoid.parse_model(fh.read()), (OSError, james_monoid.ModelError))
     if len(m.points) > ns.max_points:
         raise InputError(f"model has {len(m.points)} points, bound is {ns.max_points}")
     n = ns.n
-    if ns.check == "fibers" and not 0 <= n <= 8:
-        raise InputError("fiber enumeration is bounded to n <= 8")
     if ns.check in ("nbhd", "saturation") and not 1 <= n <= ns.max_n:
         raise InputError(f"neighbourhood sweeps are bounded to n <= {ns.max_n}")
-    lines: list[str] = []
-    failed = False
+    report = {"command": "james", "check": ns.check, "n": n}
     if ns.check == "fibers":
-        counts = james_monoid.fiber_counts_by_pass(m, n)
-        rows = []
-        for w in sorted(counts, key=lambda w: (len(w), w)):
-            expected = james_monoid.expected_fiber_count(n, len(w))
-            ok = counts[w] == expected
-            failed = failed or not ok
-            rows.append(
-                {"word": " ".join(w) or "(empty)", "count": counts[w], "expected": expected, "ok": ok}
-            )
-            lines.append(f"{rows[-1]['word']}: {counts[w]} (expected {expected}) {'ok' if ok else 'FAIL'}")
-        report = {"command": "james", "check": "fibers", "n": n, "rows": rows}
+        rows = report["rows"] = james_monoid.fiber_rows(m, n)
+        failed = not all(r["ok"] for r in rows)
+        lines = [f"{r['word']}: {r['count']} (expected {r['expected']}) {'ok' if r['ok'] else 'FAIL'}" for r in rows]
     elif ns.check == "nbhd":
-        rows = []
-        stage = james_monoid.stage_tables(m, n)
-        for w in sorted(james_monoid.words_up_to(m, n), key=lambda w: (len(w), w)):
-            stats = james_monoid.word_nbhd_stats(stage, w)
-            failed = failed or stats["specs"] != stats["saturated"]
-            rows.append({"word": " ".join(w) or "(empty)", **stats})
-            lines.append(
-                f"{rows[-1]['word']}: {stats['specs']} neighborhoods, "
-                f"{stats['saturated']} saturated, smallest {stats['smallest']}, largest {stats['largest']}"
-            )
-        report = {"command": "james", "check": "nbhd", "n": n, "rows": rows}
+        rows = report["rows"] = james_monoid.nbhd_rows(m, n)
+        failed = any(r["specs"] != r["saturated"] for r in rows)
+        lines = [
+            f"{r['word']}: {r['specs']} neighborhoods, "
+            f"{r['saturated']} saturated, smallest {r['smallest']}, largest {r['largest']}"
+            for r in rows
+        ]
     elif ns.check == "saturation":
         checked, saturated = james_monoid.sweep_standard_nbhds(m, n)
         failed = checked != saturated
-        report = {
-            "command": "james",
-            "check": "saturation",
-            "n": n,
-            "neighborhoods": checked,
-            "saturated": saturated,
-        }
-        lines.append(f"standard neighborhoods at n={n}: {checked}, saturated: {saturated}")
-    elif ns.check == "topology":
+        report.update(neighborhoods=checked, saturated=saturated)
+        lines = [f"standard neighborhoods at n={n}: {checked}, saturated: {saturated}"]
+    else:
         rep = james_monoid.topologies_agree(m, n, ns.max_points, ns.max_n)
         failed = not (rep.agree and rep.stable)
-        report = {
-            "command": "james",
-            "check": "topology",
-            "n": n,
-            "agree": rep.agree,
-            "stable": rep.stable,
-            "stage_t1": rep.stage_t1,
-            "model_t1": rep.model_t1,
-            "base_closed": rep.base_closed,
-            "closed_in_next": rep.closed_in_next,
-        }
-        lines += [
+        flags = ("agree", "stable", "stage_t1", "model_t1", "base_closed", "closed_in_next")
+        report.update({flag: getattr(rep, flag) for flag in flags})
+        lines = [
             f"quotient vs subspace topology at n={n}: {'agree' if rep.agree else 'DIFFER'}",
             f"stable under one more stage: {rep.stable}",
             f"stage T1: {rep.stage_t1} (model T1: {rep.model_t1})",
             f"basepoint closed: {rep.base_closed}; stage closed in next: {rep.closed_in_next}",
         ]
-    else:  # pragma: no cover
-        raise InputError(f"unknown check {ns.check!r}")
     report["config"] = _config_echo(ns)
     _emit(report, lines, ns.fmt)
     return 2 if failed else 0
@@ -346,8 +303,10 @@ def cmd_orders(ns) -> int:
         word = {-1: "less", 0: "equal", 1: "greater"}[r]
         report = {"command": "orders", "action": "compare", "m1": ns.m, "m2": ns.m2, "result": word}
         lines = [f"component {ns.m} is {word} than component {ns.m2}"]
-    elif ns.action == "embed":
-        spec = _order_spec(ns.order)
+    else:
+        spec = orders.order_spec(ns.order)
+        if ns.count > MAX_EMBED_COUNT:
+            raise InputError(f"--count must be at most {MAX_EMBED_COUNT}, got {ns.count}")
         emb = orders.back_and_forth_embed(spec)
         count = ns.count if spec.size is None else min(ns.count, spec.size)
         rows = []
@@ -357,113 +316,19 @@ def cmd_orders(ns) -> int:
             rows.append({"i": i, "m": orders.theta_inv(c), "component": str(c)})
             lines.append(f"{i} -> {c}")
         report = {"command": "orders", "action": "embed", "order": ns.order, "rows": rows}
-    else:  # pragma: no cover
-        raise InputError(f"unknown orders action {ns.action!r}")
     report["config"] = _config_echo(ns)
     _emit(report, lines, ns.fmt)
     return 0
 
 
-def _order_spec(name: str) -> orders.OrderSpec:
-    table = {
-        "omega": orders.Omega,
-        "omega+omega": orders.OmegaPlusOmega,
-        "zeta": orders.IntegersZeta,
-        "rationals": orders.Rationals,
-    }
-    if name in table:
-        return table[name]()
-    if name.startswith("chain"):
-        try:
-            return orders.FiniteChain(int(name[5:].strip("()")))
-        except ValueError:
-            pass
-    raise InputError(f"unknown order spec {name!r} (use omega, omega+omega, zeta, rationals, chainN)")
-
-
-def _load_presentations(path: str) -> tuple[list[dict], int, dict[int, tuple[int, int]]]:
-    """The blocks, ``repeat_from`` and letter map of a presentations file, checked strictly."""
-    try:
-        with open(path) as fh:
-            pres = json.load(fh)
-        if not isinstance(pres, dict) or not isinstance(pres.get("blocks"), list):
-            raise ValueError("expected an object with a 'blocks' list")
-        blocks = pres["blocks"]
-        for k, block in enumerate(blocks, start=1):
-            rows = block.get("relators", []) if isinstance(block, dict) else None
-            int_rows = isinstance(rows, list) and all(
-                isinstance(r, list) and all(type(x) is int for x in r) for r in rows
-            )
-            if not int_rows or type(block.get("generators")) is not int:
-                raise ValueError(f"block {k} needs integer 'generators' and a list of integer 'relators' rows")
-        if not blocks:
-            raise InputError("presentations file declares no blocks")
-        repeat_from = pres.get("repeat_from", len(blocks) - 1)
-        if type(repeat_from) is not int or not 0 <= repeat_from < len(blocks):
-            raise ValueError(f"repeat_from: expected an integer in 0..{len(blocks) - 1}, got {repeat_from!r}")
-        letters = pres.get("letters", {})
-        if not isinstance(letters, dict):
-            raise ValueError(f"letters: expected an object, got {type(letters).__name__}")
-        letter_map = {}
-        for key, entry in letters.items():
-            if not key.isdecimal() or int(key) < 1:
-                raise ValueError(f"letters[{key!r}]: expected a letter number >= 1")
-            if not isinstance(entry, dict):
-                raise ValueError(f"letters[{key!r}]: expected an object, got {type(entry).__name__}")
-            for field in ("block", "gen"):
-                value = entry.get(field)
-                if type(value) is not int or value < 1:
-                    raise ValueError(f"letters[{key!r}].{field}: expected an integer >= 1, got {value!r}")
-            letter_map[int(key)] = (entry["block"], entry["gen"])
-    except (OSError, RecursionError, ValueError) as exc:
-        raise InputError(f"cannot read presentations {path!r}: {exc}") from exc
-    return blocks, repeat_from, letter_map
-
-
 def cmd_wedge(ns) -> int:
     (expr,) = _load_exprs(ns, 1)
-    blocks, repeat_from, letter_map = _load_presentations(ns.presentations)
-
-    def block_for(k: int) -> dict:
-        if k <= len(blocks):
-            return blocks[k - 1]
-        cycle = blocks[repeat_from:]
-        return cycle[(k - len(blocks) - 1) % len(cycle)]
-
-    def letter_target(letter: int) -> tuple[int, int]:
-        return letter_map.get(letter, (letter, 1))
-
-    v = word_expr.eta(expr)
-    if letter_map and not v.has_finite_support:
-        raise InputError("an explicit letter map needs a finite-support image")
-    if letter_map:
-        support = [i + 1 for i, a in enumerate(v.prefix) if a != 0]
-        missing = [L for L in support if L not in letter_map]
-        if missing:
-            raise InputError(f"letters outside the declared map: {missing}")
-    candidates = set(range(1, ns.blocks + 1)) | set(letter_map)
-    out_blocks = []
-    lines = []
-    for k in range(1, ns.blocks + 1):
-        block = block_for(k)
-        gens = block["generators"]
-        relators = block.get("relators", [])
-        coords = [0] * gens
-        for letter in sorted(candidates):
-            blk, gen = letter_target(letter)
-            if blk != k:
-                continue
-            if not 1 <= gen <= gens:
-                raise InputError(f"letter {letter} maps to missing generator {gen} in block {k}")
-            coords[gen - 1] += v.at(letter)
-        rank, torsion, reduced = specker.h1_image(relators, gens, coords)
-        out_blocks.append(
-            {"block": k, "free_rank": rank, "torsion": torsion, "image": reduced}
-        )
-        lines.append(
-            f"block {k}: H1 rank {rank}, torsion {torsion or 'none'}, image {reduced}"
-        )
-    report = {"command": "wedge", "blocks": out_blocks, "config": _config_echo(ns)}
+    pres = _read(ns.presentations, "presentations", lambda fh: specker.presentations_from_json(json.load(fh)),
+                 (OSError, RecursionError, ValueError))
+    rows = specker.wedge_images(word_expr.eta(expr), pres, ns.blocks)
+    lines = [f"block {r['block']}: H1 rank {r['free_rank']}, torsion {r['torsion'] or 'none'}, image {r['image']}"
+             for r in rows]
+    report = {"command": "wedge", "blocks": rows, "config": _config_echo(ns)}
     _emit(report, lines, ns.fmt)
     return 0
 
@@ -538,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_orders, action="compare")
     q = order_sub.add_parser("embed")
     q.add_argument("order")
-    q.add_argument("--count", type=int, default=10)
+    q.add_argument("--count", type=int, default=10, help=f"indices to embed, at most {MAX_EMBED_COUNT}")
     _add_common(q)
     q.set_defaults(func=cmd_orders, action="embed")
 

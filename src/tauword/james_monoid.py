@@ -436,3 +436,23 @@ def fiber_counts_by_pass(m: FiniteSpaceModel, n: int) -> dict[Word, int]:
 
 def expected_fiber_count(n: int, length: int) -> int:
     return comb(n, length)
+
+
+def fiber_rows(m: FiniteSpaceModel, n: int) -> list[dict]:
+    """Fiber size of each reduced word over the n-th power (n <= 8), and the expected C(n, length)."""
+    if not 0 <= n <= 8:
+        raise SizeBoundError("fiber enumeration is bounded to n <= 8")
+    counts = fiber_counts_by_pass(m, n)
+    rows = []
+    for w in sorted(counts, key=lambda w: (len(w), w)):
+        expected = expected_fiber_count(n, len(w))
+        rows.append({"word": " ".join(w) or "(empty)", "count": counts[w], "expected": expected,
+                     "ok": counts[w] == expected})
+    return rows
+
+
+def nbhd_rows(m: FiniteSpaceModel, n: int) -> list[dict]:
+    """``word_nbhd_stats`` of every word of length <= n, on one stage."""
+    stage = stage_tables(m, n)
+    return [{"word": " ".join(w) or "(empty)", **word_nbhd_stats(stage, w)}
+            for w in sorted(words_up_to(m, n), key=lambda w: (len(w), w))]

@@ -25,6 +25,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 
+# the ternary number with digit 2 at each set bit of a byte, 0 elsewhere
+_TERNARY_OF_BYTE = [sum(2 * 3**i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
 @dataclass(frozen=True, slots=True, order=False)
 class CantorComponent:
     """Removed open interval I(level, slot); its position is its dyadic key."""
@@ -42,8 +46,12 @@ class CantorComponent:
 
     def _parent_left(self) -> int:
         # left end of the parent closed interval times 3^(level-1): its
-        # ternary digits are in {0, 2}, spelled by the binary expansion of slot-1
-        return int(format(self.slot - 1, "b").replace("1", "2"), 3)
+        # ternary digits are in {0, 2}, one 2 for each set bit of slot-1
+        bits = self.slot - 1
+        left = 0
+        for byte in bits.to_bytes((bits.bit_length() + 7) // 8, "big"):
+            left = left * 3**8 + _TERNARY_OF_BYTE[byte]
+        return left
 
     def __lt__(self, other: "CantorComponent") -> bool:
         return compare(theta_inv(self), theta_inv(other)) < 0
@@ -229,6 +237,19 @@ def _fusc(n: int) -> int:
 
 def _stern_rational(n: int) -> Fraction:
     return Fraction(_fusc(n), _fusc(n + 1))
+
+
+def order_spec(name: str) -> OrderSpec:
+    """The order named omega, omega+omega, zeta, rationals, or chainN (also chain(N))."""
+    named = {"omega": Omega, "omega+omega": OmegaPlusOmega, "zeta": IntegersZeta, "rationals": Rationals}
+    if name in named:
+        return named[name]()
+    if name.startswith("chain"):
+        try:
+            return FiniteChain(int(name[5:].strip("()")))
+        except ValueError:
+            pass
+    raise ValueError(f"unknown order spec {name!r} (use omega, omega+omega, zeta, rationals, chainN)")
 
 
 _CEILING = 1  # component 1 = (1/3, 2/3) bounds every image above

@@ -200,6 +200,9 @@ def eh_shuffle() -> BlockPermute:
     return BlockPermute(4, (0, 2, 1, 3))
 
 
+NAMED = {"identity": identity, "eh_shuffle": eh_shuffle}
+
+
 class SparseEmbed:
     """Bijection acting as ``2^k - 1 -> 2^{inner(k)} - 1`` and fixing the rest.
 

@@ -417,3 +417,84 @@ def h1_image(
     image = [c % diag[j] if j < len(diag) and diag[j] > 0 else c for j, c in enumerate(image)]
     nonzero = [d for d in diag if d != 0]
     return generators - len(nonzero), [d for d in nonzero if d != 1], image
+
+
+# ---------------------------------------------------------------------------
+# Shrinking wedges: block presentations and per-block homology images.
+# ---------------------------------------------------------------------------
+
+
+def presentations_from_json(obj) -> tuple[list[dict], int, dict[int, tuple[int, int]]]:
+    """The blocks, ``repeat_from`` and letter map of a presentations object, checked strictly.
+
+    A malformed field raises ``ValueError`` naming it.  An empty ``blocks``
+    list is returned unchecked; ``wedge_images`` rejects it.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
+        raise ValueError("expected an object with a 'blocks' list")
+    blocks = obj["blocks"]
+    for k, block in enumerate(blocks, start=1):
+        rows = block.get("relators", []) if isinstance(block, dict) else None
+        int_rows = isinstance(rows, list) and all(
+            isinstance(r, list) and all(type(x) is int for x in r) for r in rows
+        )
+        if not int_rows or type(block.get("generators")) is not int:
+            raise ValueError(f"block {k} needs integer 'generators' and a list of integer 'relators' rows")
+    if not blocks:
+        return blocks, 0, {}
+    repeat_from = obj.get("repeat_from", len(blocks) - 1)
+    if type(repeat_from) is not int or not 0 <= repeat_from < len(blocks):
+        raise ValueError(f"repeat_from: expected an integer in 0..{len(blocks) - 1}, got {repeat_from!r}")
+    letters = obj.get("letters", {})
+    if not isinstance(letters, dict):
+        raise ValueError(f"letters: expected an object, got {type(letters).__name__}")
+    letter_map = {}
+    for key, entry in letters.items():
+        if not key.isdecimal() or int(key) < 1:
+            raise ValueError(f"letters[{key!r}]: expected a letter number >= 1")
+        if not isinstance(entry, dict):
+            raise ValueError(f"letters[{key!r}]: expected an object, got {type(entry).__name__}")
+        for field in ("block", "gen"):
+            value = entry.get(field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"letters[{key!r}].{field}: expected an integer >= 1, got {value!r}")
+        letter_map[int(key)] = (entry["block"], entry["gen"])
+    return blocks, repeat_from, letter_map
+
+
+def wedge_images(
+    v: SpeckerVector, presentations: tuple[list[dict], int, dict[int, tuple[int, int]]], blocks: int
+) -> list[dict]:
+    """H1 of each of the first ``blocks`` wedge blocks (free rank, torsion) and the image of v in it.
+
+    Blocks past the declared ones cycle from ``repeat_from``.  Letter l maps
+    to the generator given by the letter map, by default generator 1 of
+    block l; the image sums the coordinates of v over the letters of a block.
+    """
+    declared, repeat_from, letter_map = presentations
+    if not declared:
+        raise ValueError("presentations file declares no blocks")
+    if letter_map and not v.has_finite_support:
+        raise ValueError("an explicit letter map needs a finite-support image")
+    if letter_map:
+        support = [i + 1 for i, a in enumerate(v.prefix) if a != 0]
+        missing = [L for L in support if L not in letter_map]
+        if missing:
+            raise ValueError(f"letters outside the declared map: {missing}")
+    candidates = sorted(set(range(1, blocks + 1)) | set(letter_map))
+    cycle = declared[repeat_from:]
+    rows = []
+    for k in range(1, blocks + 1):
+        block = declared[k - 1] if k <= len(declared) else cycle[(k - len(declared) - 1) % len(cycle)]
+        gens = block["generators"]
+        coords = [0] * gens
+        for letter in candidates:
+            blk, gen = letter_map.get(letter, (letter, 1))
+            if blk != k:
+                continue
+            if not 1 <= gen <= gens:
+                raise ValueError(f"letter {letter} maps to missing generator {gen} in block {k}")
+            coords[gen - 1] += v.at(letter)
+        rank, torsion, image = h1_image(block.get("relators", []), gens, coords)
+        rows.append({"block": k, "free_rank": rank, "torsion": torsion, "image": image})
+    return rows

@@ -323,6 +323,11 @@ def project(e: WordExpr, n: int) -> ReducedWord:
     return _project(e, n)
 
 
+def finite_word(e: WordExpr) -> ReducedWord:
+    """The reduced word of a finite expression in letters up to 10^9, such as a factorization stage."""
+    return project(e, 10**9)
+
+
 def projection_tower(e: WordExpr, n: int) -> list[ReducedWord]:
     """The projections at levels 1..n, in that order.
 
@@ -529,17 +534,32 @@ def commutator_factorization(e: WordExpr, depth: int = 12) -> SeqSpec:
     An input already in factored form (a product of commutator blocks whose
     stage-n factor stays in letters >= n) is returned unchanged.
     """
+    return _factorization(e, depth)[0]
+
+
+def factor(e: WordExpr, depth: int = 12) -> tuple[SeqSpec, bool]:
+    """The commutator factorization of e, and whether its projections agree with e's up to depth.
+
+    The input is projected once; an input already in factored form is its own factorization.
+    """
+    spec, top = _factorization(e, depth)
+    return spec, top is None or _project(OmegaProd(spec), depth) == top
+
+
+def _factorization(e: WordExpr, depth: int) -> tuple[SeqSpec, Optional[ReducedWord]]:
+    """The factorization and the depth projection it was read from (None if already factored)."""
     ensure_valid(e)
     if not _eta(e).is_zero:
         raise HypothesisViolationError("winding vector is nonzero")
     if isinstance(e, OmegaProd) and _already_factored(e.spec):
-        return e.spec
+        return e.spec, None
     if depth < 1:
         raise ValueError("projection level must be positive")
+    top = _project(e, depth)
     stages: list[list[WordExpr]] = [[] for _ in range(depth)]
-    for a, b in commutator_decompose(_project(e, depth)):
+    for a, b in commutator_decompose(top):
         stages[b.syllables[0][0] - 1].append(commutator_expr(word_to_expr(a), word_to_expr(b)))
-    return SeqSpec(tuple(Concat(tuple(stage)) for stage in stages), Trivial())
+    return SeqSpec(tuple(Concat(tuple(stage)) for stage in stages), Trivial()), top
 
 
 def _already_factored(spec: SeqSpec) -> bool:
@@ -657,12 +677,12 @@ def _decode(obj, path: str) -> WordExpr:
                 else:
                     raise ValidationError([f"{tail_path}: missing field 'body' or 'bodies'"])
             else:
-                raise ValidationError([f"unknown tail kind {tail_obj['kind']!r}"])
+                raise ValidationError([f"{tail_path}: unknown tail kind {tail_obj['kind']!r}"])
             spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix"), tail)
             return OmegaProd(spec) if kind == "omega" else TauProd(spec)
     except KeyError as exc:  # a required field of this node; nested nodes raise ValidationError
         raise ValidationError([f"{path}: missing field {exc.args[0]!r}"]) from None
-    raise ValidationError([f"unknown expression type {kind!r}"])
+    raise ValidationError([f"{path}: unknown expression type {kind!r}"])
 
 
 def _decode_all(items, path: str) -> tuple[WordExpr, ...]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tauword import cli, james_monoid as jm, rearrange as ra, word_expr as we
+from tauword import cli, james_monoid as jm, orders, rearrange as ra, word_expr as we
 
 from conftest import check_saturated, equal_up_to_by_levels, standard_nbhd
 
@@ -133,6 +133,26 @@ def test_factor_command(tmp_path, capsys):
     assert blob["stages"][0]["word"] == "l1 l2 l1^-1 l2^-1"
     code, out, err = run(capsys, "factor", "--builtin", "ell_tau", "--depth", "3")
     assert (code, out, err) == (1, "", "error: winding vector is nonzero\n")
+
+
+@pytest.mark.parametrize(
+    "builtin, projections", [("flattened_commutator_product", 2), ("commutator_product", 0)]
+)
+def test_factor_projects_the_input_once(capsys, monkeypatch, builtin, projections):
+    """One depth projection of the input, one of the stages; an already-factored
+    input (commutator_product) is its own factorization and needs neither."""
+    seen = []
+    project = we._project
+
+    def spy(e, n):
+        if isinstance(e, (we.OmegaProd, we.TauProd)):
+            seen.append(n)
+        return project(e, n)
+
+    monkeypatch.setattr(we, "_project", spy)
+    code, out, _ = run(capsys, "factor", "--builtin", builtin, "--depth", "30")
+    assert code == 0 and out.endswith("projections match input up to depth 30: True\n")
+    assert seen == [30] * projections
 
 
 def test_abelianize_targets(capsys, tmp_path):
@@ -302,6 +322,11 @@ def test_malformed_bijection_is_input_error(tmp_path, capsys, blob, where):
         ({"type": "tau", "prefix": []}, "expr: missing field 'tail'"),
         ({"type": "omega", "prefix": [], "tail": {}}, "expr.tail: missing field 'kind'"),
         ({"type": "tau", "prefix": [], "tail": {"kind": "template"}}, "expr.tail: missing field 'body' or 'bodies'"),
+        (
+            {"type": "concat", "factors": [{"type": "letter", "index": 1}, {"type": "lettr", "index": 2}]},
+            "expr.factors[1]: unknown expression type 'lettr'",
+        ),
+        ({"type": "omega", "prefix": [], "tail": {"kind": "zzz"}}, "expr.tail: unknown tail kind 'zzz'"),
     ],
     ids=[
         "letter",
@@ -313,6 +338,8 @@ def test_malformed_bijection_is_input_error(tmp_path, capsys, blob, where):
         "tail",
         "tail_kind",
         "template_body",
+        "unknown_type",
+        "unknown_tail_kind",
     ],
 )
 def test_missing_expression_field_is_input_error(tmp_path, capsys, blob, where):
@@ -555,6 +582,16 @@ def test_orders_embed_finite_chain_and_unknown_spec(capsys):
     assert err.startswith("error: unknown order spec 'chainx'")
 
 
+def test_orders_embed_count_is_bounded(capsys):
+    bound = cli.MAX_EMBED_COUNT
+    code, out, err = run(capsys, "orders", "embed", "omega", "--count", str(bound + 1))
+    assert (code, out, err) == (1, "", f"error: --count must be at most {bound}, got {bound + 1}\n")
+    # omega climbs fastest (one level per index); its last row at the bound renders
+    last = orders.back_and_forth_embed(orders.Omega())(bound)
+    assert last.level == bound + 1
+    assert str(last) and json.dumps(orders.theta_inv(last))
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -753,3 +790,38 @@ def test_parser_built_once_without_state_leaking_between_calls(tmp_path, capsys)
     for argv, got in zip(calls, warm):
         cli.build_parser.cache_clear()  # the reference run gets a fresh parser
         assert run(capsys, *argv) == got, argv
+
+
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_REPORTS = {
+    "wedge_circle": [
+        "wedge", "--presentations", str(SAMPLES / "circle_wedge.json"), "--expr", str(SAMPLES / "tau_squares.json"),
+        "--blocks", "6",
+    ],
+    **{
+        f"james_{check}": ["james", "--model", str(SAMPLES / "chain_model.txt"), "--check", check, "--n", "2"]
+        for check in ("fibers", "nbhd", "saturation", "topology")
+    },
+    **{
+        f"embed_{name}": ["orders", "embed", order, "--count", "12"]
+        for name, order in [
+            ("omega", "omega"),
+            ("omega_plus_omega", "omega+omega"),
+            ("zeta", "zeta"),
+            ("rationals", "rationals"),
+            ("chain5", "chain(5)"),
+        ]
+    },
+    "factor_commutators": ["factor", "--expr", str(SAMPLES / "commutators.json"), "--depth", "8"],
+    "shuffle_swap": [
+        "shuffle", "--expr", str(SAMPLES / "tau_squares.json"), "--bijection", str(SAMPLES / "swap_first_two.json"),
+        "--depth", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden_file(capsys, name, fmt, suffix):
+    code, out, err = run(capsys, *GOLDEN_REPORTS[name], "--format", fmt)
+    assert (code, out, err) == (0, (GOLDEN / f"golden_{name}.{suffix}").read_text(), "")

@@ -112,6 +112,29 @@ def ternary_endpoints(m):
     return lo, lo + Fraction(1, 3 ** m.bit_length())
 
 
+def test_endpoints_past_the_integer_string_digit_limit():
+    """At level 5000, slot - 1 has more bits than an int may have decimal
+    digits in a string conversion; lo and hi are still exact."""
+    level = 5000
+    rng = make_rng(307)
+    for m in (1 << (level - 1), (1 << level) - 1, rng.randrange(1 << (level - 1), 1 << level)):
+        numerator = 0
+        for digit in address_string(m):
+            numerator = 3 * numerator + int(digit)
+        c = orders.theta(m)
+        assert c.level == level
+        assert (c.lo, c.hi) == (Fraction(numerator, 3**level), Fraction(numerator + 1, 3**level))
+
+
+def test_order_spec_parses_every_order_name():
+    for name in ("omega", "omega+omega", "zeta", "rationals"):
+        assert str(orders.order_spec(name)) == name
+    assert orders.order_spec("chain(5)").size == orders.order_spec("chain5").size == 5
+    for name in ("chainx", "chain(-1)", "Omega", ""):
+        with pytest.raises(ValueError, match="unknown order spec"):
+            orders.order_spec(name)
+
+
 def test_deep_levels_against_address_oracle():
     rng = make_rng(305)
     for _ in range(200):

@@ -423,3 +423,13 @@ def test_parse_matrix():
     assert sp.parse_matrix("1 2\n3 4") == [[1, 2], [3, 4]]
     with pytest.raises(ValueError):
         sp.parse_matrix("1 2\n3")
+
+
+def test_wedge_blocks_past_the_declared_ones_cycle_from_repeat_from():
+    blocks = [{"generators": 1}, {"generators": 1, "relators": [[2]]}, {"generators": 1, "relators": [[3]]}]
+    pres = sp.presentations_from_json({"blocks": blocks, "repeat_from": 1})
+    rows = sp.wedge_images(sp.all_ones(), pres, 6)
+    assert [r["torsion"] for r in rows] == [[], [2], [3], [2], [3], [2]]
+    assert [r["image"] for r in rows] == [[1], [1], [1], [1], [1], [1]]
+    with pytest.raises(ValueError, match="declares no blocks"):
+        sp.wedge_images(sp.all_ones(), sp.presentations_from_json({"blocks": [], "repeat_from": 7}), 1)
