@@ -421,8 +421,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.depth < 0:
-            raise InputError(f"--depth must be non-negative, got {ns.depth}")
+        for flag in ("depth", "blocks", "count"):  # blocks and count belong to some subcommands only
+            if getattr(ns, flag, 0) < 0:
+                raise InputError(f"--{flag} must be non-negative, got {getattr(ns, flag)}")
         return ns.func(ns)
     except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,7 +20,11 @@ from math import lcm
 
 
 class MalformedBijectionError(ValueError):
-    """Overlapping cycles, non-permutation residues, and similar."""
+    """Overlapping cycles, non-permutation residues, and similar, in the composition entry ``path``, if any."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(f"{path}: {message}" if path else message)
+        self.message, self.path = message, path
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class BlockPermute(BijectionSpec):
     def __post_init__(self) -> None:
         if self.period < 1:
             raise MalformedBijectionError("period must be positive")
-        if sorted(self.perm) != list(range(self.period)):
+        if len(self.perm) != self.period or sorted(self.perm) != list(range(self.period)):
             raise MalformedBijectionError(
                 f"perm {self.perm} is not a permutation of 0..{self.period - 1}"
             )
@@ -273,7 +277,14 @@ def bijection_from_json(obj) -> BijectionSpec:
                 raise MalformedBijectionError(f"period must be an integer, got {period!r}")
             return BlockPermute(period, _int_list(obj["perm"], "perm"))
         if kind == "compose":
-            return Compose(tuple(bijection_from_json(p) for p in _list(obj["of"], "of")))
+            parts = []
+            for i, p in enumerate(_list(obj["of"], "of")):
+                try:
+                    parts.append(bijection_from_json(p))
+                except MalformedBijectionError as exc:
+                    where = f"of[{i}].{exc.path}" if exc.path else f"of[{i}]"  # such as of[0].of[1]
+                    raise MalformedBijectionError(exc.message, where) from None
+            return Compose(tuple(parts))
     except KeyError as exc:  # a required field of this bijection; nested ones raise their own error
         raise MalformedBijectionError(f"missing field {exc.args[0]!r} in a {kind} bijection") from None
     raise MalformedBijectionError(f"unknown bijection kind {kind!r}")

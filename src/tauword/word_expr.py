@@ -20,18 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import orders
-from .free_words import (
-    IDENTITY,
-    ReducedWord,
-    concat_all,
-    delete_above,
-    commutator_decompose,
-    invert,
-    reduce,
-)
+# concat_all is not called here; bench/test_bench.py checks that tracing restores this module's binding of it
+from .free_words import ReducedWord, Syllable, commutator_decompose, concat_all, delete_above, reduce  # noqa: F401
 from .rearrange import is_bijection
 from .specker import SpeckerVector, vector
 
@@ -129,11 +122,20 @@ def commutator_expr(a: WordExpr, b: WordExpr) -> Concat:
 # Validation
 # ---------------------------------------------------------------------------
 
+# Every node is one level below its parent, whatever its type.  The decoder and
+# ``validate`` reject deeper nodes, which keeps the recursive tree builders far
+# below the interpreter's recursion limit; the readers walk an explicit stack.
+MAX_NESTING = 100
+
+
+def _too_deep(path: str) -> str:
+    return f"{path}: nested deeper than {MAX_NESTING} levels"
+
 
 def validate(e: WordExpr) -> list[str]:
     """Return a list of invariant violations (empty means valid)."""
     report: list[str] = []
-    _validate(e, "expr", report, in_body=False, in_finite=False)
+    _validate(e, "expr", report, in_body=False, in_finite=False, level=0)
     return report
 
 
@@ -143,8 +145,10 @@ def ensure_valid(e: WordExpr) -> None:
         raise ValidationError(report)
 
 
-def _validate(e: WordExpr, path: str, report: list[str], in_body: bool, in_finite: bool) -> None:
-    if isinstance(e, Letter):
+def _validate(e: WordExpr, path: str, report: list[str], in_body: bool, in_finite: bool, level: int) -> None:
+    if level > MAX_NESTING:
+        report.append(_too_deep(path))
+    elif isinstance(e, Letter):
         if in_body:
             report.append(f"{path}: constant letter in tail")
         if e.index < 1:
@@ -162,21 +166,21 @@ def _validate(e: WordExpr, path: str, report: list[str], in_body: bool, in_finit
             report.append(f"{path}: letter exponent must be nonzero")
     elif isinstance(e, Concat):
         for i, f in enumerate(e.factors):
-            _validate(f, f"{path}.factors[{i}]", report, in_body, in_finite)
+            _validate(f, f"{path}.factors[{i}]", report, in_body, in_finite, level + 1)
     elif isinstance(e, Inverse):
-        _validate(e.of, f"{path}.of", report, in_body, in_finite)
+        _validate(e.of, f"{path}.of", report, in_body, in_finite, level + 1)
     elif isinstance(e, (OmegaProd, TauProd)):
         if in_body or in_finite:
             report.append(f"{path}: nested infinite product")
             return
         spec = e.spec
         for i, f in enumerate(spec.prefix):
-            _validate(f, f"{path}.prefix[{i}]", report, in_body=False, in_finite=True)
+            _validate(f, f"{path}.prefix[{i}]", report, in_body=False, in_finite=True, level=level + 1)
         if isinstance(spec.tail, Template):
             if not spec.tail.bodies:
                 report.append(f"{path}.tail: template with no bodies")
             for q, body in enumerate(spec.tail.bodies):
-                _validate(body, f"{path}.tail.bodies[{q}]", report, in_body=True, in_finite=True)
+                _validate(body, f"{path}.tail.bodies[{q}]", report, in_body=True, in_finite=True, level=level + 1)
         elif not isinstance(spec.tail, Trivial):
             report.append(f"{path}.tail: unknown tail rule {type(spec.tail).__name__}")
     else:
@@ -239,16 +243,43 @@ BUILTINS = {
 # ---------------------------------------------------------------------------
 
 
-def instantiate(body: WordExpr, j: int) -> WordExpr:
-    """Replace symbolic leaves with concrete letters at instance j."""
+def _leaves(e: WordExpr) -> Iterator[tuple[WordExpr, int]]:
+    """Every node of e that is not a Concat or an Inverse, with its sign, in word order.
+
+    An inverse flips the sign of its operand and reads its factors in reverse.
+    Products are yielded whole, for the caller to expand.
+    """
+    stack = [(e, 1)]
+    while stack:
+        node, sign = stack.pop()
+        if isinstance(node, Concat):
+            stack.extend((f, sign) for f in (node.factors if sign < 0 else reversed(node.factors)))
+        elif isinstance(node, Inverse):
+            stack.append((node.of, -sign))
+        else:
+            yield node, sign
+
+
+def _letters(e: WordExpr) -> Iterator[Syllable]:
+    """The letters of a finite expression as signed syllables, in word order."""
+    for leaf, sign in _leaves(e):
+        if not isinstance(leaf, Letter):
+            raise TypeError(f"not a finite expression: {type(leaf).__name__}")
+        yield leaf.index, sign * leaf.exp
+
+
+def instantiate(body: WordExpr, j: int, scale: int = 0) -> WordExpr:
+    """Instance j of a template body, whose symbolic leaves become the letters base + coef*j;
+    with a nonzero scale, the body whose instance u is instance j + scale*u of this one."""
     if isinstance(body, SymLetter):
-        return Letter(body.base + body.coef * j, body.exp)
+        base = body.base + body.coef * j
+        return SymLetter(base, body.coef * scale, body.exp) if scale else Letter(base, body.exp)
     if isinstance(body, Letter):
         return body
     if isinstance(body, Concat):
-        return Concat(tuple(instantiate(f, j) for f in body.factors))
+        return Concat(tuple(instantiate(f, j, scale) for f in body.factors))
     if isinstance(body, Inverse):
-        return Inverse(instantiate(body.of, j))
+        return Inverse(instantiate(body.of, j, scale))
     raise TypeError(f"cannot instantiate {type(body).__name__}")
 
 
@@ -268,14 +299,7 @@ def factor_at(spec: SeqSpec, m: int) -> WordExpr:
 
 def finite_min_letter(e: WordExpr) -> Optional[int]:
     """Smallest letter index in a finite (fully instantiated) expression."""
-    if isinstance(e, Letter):
-        return e.index
-    if isinstance(e, Concat):
-        values = [v for f in e.factors if (v := finite_min_letter(f)) is not None]
-        return min(values) if values else None
-    if isinstance(e, Inverse):
-        return finite_min_letter(e.of)
-    raise TypeError(f"not a finite expression: {type(e).__name__}")
+    return min((index for index, _ in _letters(e)), default=None)
 
 
 def contributing_factors(spec: SeqSpec, n: int) -> dict[int, WordExpr]:
@@ -283,30 +307,19 @@ def contributing_factors(spec: SeqSpec, n: int) -> dict[int, WordExpr]:
     out: dict[int, WordExpr] = {}
     r = len(spec.prefix)
     for i, f in enumerate(spec.prefix, start=1):
-        m = finite_min_letter(f)
-        if m is not None and m <= n:
+        if any(index <= n for index, _ in _letters(f)):
             out[i] = f
     if isinstance(spec.tail, Template):
         bodies = spec.tail.bodies
         slots: set[int] = set()
         for q, body in enumerate(bodies):
-            for base, coef in _body_leaf_shapes(body):
-                top = (n - base) // coef
-                for j in range(top + 1):
-                    slots.add(j * len(bodies) + q)
+            for leaf, _ in _leaves(body):
+                if isinstance(leaf, SymLetter):
+                    for j in range((n - leaf.base) // leaf.coef + 1):
+                        slots.add(j * len(bodies) + q)
         for t in slots:
             out[r + 1 + t] = instantiate(bodies[t % len(bodies)], t // len(bodies))
     return out
-
-
-def _body_leaf_shapes(body: WordExpr) -> Iterable[tuple[int, int]]:
-    if isinstance(body, SymLetter):
-        yield body.base, body.coef
-    elif isinstance(body, Concat):
-        for f in body.factors:
-            yield from _body_leaf_shapes(f)
-    elif isinstance(body, Inverse):
-        yield from _body_leaf_shapes(body.of)
 
 
 def project(e: WordExpr, n: int) -> ReducedWord:
@@ -324,8 +337,9 @@ def project(e: WordExpr, n: int) -> ReducedWord:
 
 
 def finite_word(e: WordExpr) -> ReducedWord:
-    """The reduced word of a finite expression in letters up to 10^9, such as a factorization stage."""
-    return project(e, 10**9)
+    """The reduced word of a finite expression, such as a factorization stage."""
+    ensure_valid(e)
+    return reduce(_letters(e))
 
 
 def projection_tower(e: WordExpr, n: int) -> list[ReducedWord]:
@@ -344,20 +358,15 @@ def projection_tower(e: WordExpr, n: int) -> list[ReducedWord]:
 
 
 def _project(e: WordExpr, n: int) -> ReducedWord:
-    if isinstance(e, Letter):
-        return reduce([(e.index, e.exp)]) if e.index <= n else IDENTITY
-    if isinstance(e, Concat):
-        return concat_all([_project(f, n) for f in e.factors])
-    if isinstance(e, Inverse):
-        return invert(_project(e.of, n))
-    if isinstance(e, OmegaProd):
-        factors = contributing_factors(e.spec, n)
-        return concat_all([_project(factors[m], n) for m in sorted(factors)])
-    if isinstance(e, TauProd):
-        factors = contributing_factors(e.spec, n)
-        order = sorted(factors, key=orders.position_key)
-        return concat_all([_project(factors[m], n) for m in order])
-    raise TypeError(f"cannot project {type(e).__name__}")
+    """Each product is read as its contributing factors in product order, in one walk; one reduction."""
+    syllables: list[Syllable] = []
+    for node, sign in _leaves(e):
+        if isinstance(node, (OmegaProd, TauProd)):
+            factors = contributing_factors(node.spec, n)
+            key = orders.position_key if isinstance(node, TauProd) else None
+            node = Concat(tuple(factors[m] for m in sorted(factors, key=key)))
+        syllables += (s for s in _letters(node if sign > 0 else Inverse(node)) if s[0] <= n)
+    return reduce(syllables)
 
 
 def eta(e: WordExpr) -> SpeckerVector:
@@ -373,9 +382,17 @@ def eta(e: WordExpr) -> SpeckerVector:
 def _eta(e: WordExpr) -> SpeckerVector:
     consts: dict[int, int] = {}
     aps: list[tuple[int, int, int]] = []
-    _collect_eta(e, 1, consts, aps)
+    for node, sign in _leaves(e):
+        if isinstance(node, (OmegaProd, TauProd)):  # its prefix factors and symbolic tail bodies
+            tail = node.spec.tail
+            node = Concat(node.spec.prefix + (tail.bodies if isinstance(tail, Template) else ()))
+        for leaf, s in _leaves(node):
+            if isinstance(leaf, SymLetter):
+                aps.append((leaf.base, leaf.coef, sign * s * leaf.exp))
+            else:
+                consts[leaf.index] = consts.get(leaf.index, 0) + sign * s * leaf.exp
     start = max(
-        [i for i in consts] + [base for base, _, _ in aps], default=0
+        [i for i, c in consts.items() if c] + [base for base, _, _ in aps], default=0
     )
     period = 1
     for _, coef, _ in aps:
@@ -391,28 +408,6 @@ def _eta(e: WordExpr) -> SpeckerVector:
     prefix = [coord(n) for n in range(1, start + 1)]
     cycle = [coord(n) for n in range(start + 1, start + period + 1)]
     return vector(prefix, cycle)
-
-
-def _collect_eta(e: WordExpr, sign: int, consts: dict[int, int], aps: list) -> None:
-    if isinstance(e, Letter):
-        consts[e.index] = consts.get(e.index, 0) + sign * e.exp
-        if consts[e.index] == 0:
-            del consts[e.index]
-    elif isinstance(e, SymLetter):
-        aps.append((e.base, e.coef, sign * e.exp))
-    elif isinstance(e, Concat):
-        for f in e.factors:
-            _collect_eta(f, sign, consts, aps)
-    elif isinstance(e, Inverse):
-        _collect_eta(e.of, -sign, consts, aps)
-    elif isinstance(e, (OmegaProd, TauProd)):
-        for f in e.spec.prefix:
-            _collect_eta(f, sign, consts, aps)
-        if isinstance(e.spec.tail, Template):
-            for body in e.spec.tail.bodies:
-                _collect_eta(body, sign, consts, aps)
-    else:
-        raise TypeError(f"cannot collect {type(e).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,19 +498,8 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
         s0 = t0 + cut + st.offsets[t0 % st.period] - r
         if s0 < 0:
             raise RuntimeError(f"rearranged tail body {t0} reads before the tail (offset {s0})")
-        new_bodies.append(_reindex(bodies[s0 % q_count], s0 // q_count, big // q_count))
+        new_bodies.append(instantiate(bodies[s0 % q_count], s0 // q_count, big // q_count))
     return make(SeqSpec(new_prefix, Template(tuple(new_bodies))))
-
-
-def _reindex(body: WordExpr, shift: int, scale: int) -> WordExpr:
-    """Body whose instance u equals the original's instance shift + scale*u."""
-    if isinstance(body, SymLetter):
-        return SymLetter(body.base + body.coef * shift, body.coef * scale, body.exp)
-    if isinstance(body, Concat):
-        return Concat(tuple(_reindex(f, shift, scale) for f in body.factors))
-    if isinstance(body, Inverse):
-        return Inverse(_reindex(body.of, shift, scale))
-    raise TypeError(f"cannot reindex {type(body).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +558,8 @@ def _already_factored(spec: SeqSpec) -> bool:
     for q, body in enumerate(spec.tail.bodies):
         if not _is_commutator_blocks(body):
             return False
-        for base, coef in _body_leaf_shapes(body):
-            if base < r + 1 + q or coef < q_count:
+        for leaf, _ in _leaves(body):
+            if isinstance(leaf, SymLetter) and (leaf.base < r + 1 + q or leaf.coef < q_count):
                 return False
     return True
 
@@ -639,12 +623,15 @@ def to_json(e: WordExpr) -> dict:
 
 
 def from_json(obj) -> WordExpr:
-    """Decode canonical JSON strictly; a malformed node raises ``ValidationError``
-    naming its path, such as ``expr.factors[1].index``."""
-    return _decode(obj, "expr")
+    """Decode canonical JSON strictly; a malformed node, or one nested deeper than
+    ``MAX_NESTING``, raises ``ValidationError`` naming its path, such as
+    ``expr.factors[1].index``."""
+    return _decode(obj, "expr", 0)
 
 
-def _decode(obj, path: str) -> WordExpr:
+def _decode(obj, path: str, level: int) -> WordExpr:
+    if level > MAX_NESTING:
+        raise ValidationError([_too_deep(path)])
     node = _json_object(obj, path)
     kind = node.get("type")
     try:
@@ -659,9 +646,9 @@ def _decode(obj, path: str) -> WordExpr:
                 _json_int(node.get("exp", 1), f"{path}.exp"),
             )
         if kind == "concat":
-            return Concat(_decode_all(node["factors"], f"{path}.factors"))
+            return Concat(_decode_all(node["factors"], f"{path}.factors", level + 1))
         if kind == "inverse":
-            return Inverse(_decode(node["of"], f"{path}.of"))
+            return Inverse(_decode(node["of"], f"{path}.of", level + 1))
         if kind in ("omega", "tau"):
             tail_path = f"{path}.tail"
             tail_obj = _json_object(node["tail"], tail_path)
@@ -671,24 +658,24 @@ def _decode(obj, path: str) -> WordExpr:
                 tail: TailRule = Trivial()
             elif tail_obj["kind"] == "template":
                 if "bodies" in tail_obj:
-                    tail = Template(_decode_all(tail_obj["bodies"], f"{tail_path}.bodies"))
+                    tail = Template(_decode_all(tail_obj["bodies"], f"{tail_path}.bodies", level + 1))
                 elif "body" in tail_obj:
-                    tail = Template((_decode(tail_obj["body"], f"{tail_path}.body"),))
+                    tail = Template((_decode(tail_obj["body"], f"{tail_path}.body", level + 1),))
                 else:
                     raise ValidationError([f"{tail_path}: missing field 'body' or 'bodies'"])
             else:
                 raise ValidationError([f"{tail_path}: unknown tail kind {tail_obj['kind']!r}"])
-            spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix"), tail)
+            spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix", level + 1), tail)
             return OmegaProd(spec) if kind == "omega" else TauProd(spec)
     except KeyError as exc:  # a required field of this node; nested nodes raise ValidationError
         raise ValidationError([f"{path}: missing field {exc.args[0]!r}"]) from None
     raise ValidationError([f"{path}: unknown expression type {kind!r}"])
 
 
-def _decode_all(items, path: str) -> tuple[WordExpr, ...]:
+def _decode_all(items, path: str, level: int) -> tuple[WordExpr, ...]:
     if not isinstance(items, list):
         raise ValidationError([f"{path}: expected a list, got {type(items).__name__}"])
-    return tuple(_decode(item, f"{path}[{i}]") for i, item in enumerate(items))
+    return tuple(_decode(item, f"{path}[{i}]", level) for i, item in enumerate(items))
 
 
 def _json_object(obj, path: str) -> dict:

@@ -1,7 +1,8 @@
 """Shared deterministic generators for fuzzed inputs, and reference oracles
 (the set-based twins of the ``james_monoid`` bitmask stage engine, the
-scan-based twins of the ``orders`` embedding and extension, and the sorting
-twin of the letter-peeling ``commutator_decompose`` among them)."""
+scan-based twins of the ``orders`` embedding and extension, the sorting
+twin of the letter-peeling ``commutator_decompose`` and the recursive twins
+of the ``word_expr`` leaf walk among them)."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from tauword.orders import (
     Rationals,
     compare,
     least_component_in,
+    position_key,
     theta,
     theta_inv,
 )
@@ -165,6 +167,80 @@ def equal_up_to_by_levels(a, b, n_max: int) -> we.EqualityResult:
         if wa != wb:
             return we.EqualityResult(False, n, wa, wb)
     return we.EqualityResult(True)
+
+
+def project_by_recursion(e: we.WordExpr, n: int) -> fw.ReducedWord:
+    """Reference for ``word_expr._project``: one recursive call per node, each
+    factor reduced on its own and every concatenation reduced again."""
+    if isinstance(e, we.Letter):
+        return fw.reduce([(e.index, e.exp)]) if e.index <= n else fw.IDENTITY
+    if isinstance(e, we.Concat):
+        return fw.concat_all([project_by_recursion(f, n) for f in e.factors])
+    if isinstance(e, we.Inverse):
+        return fw.invert(project_by_recursion(e.of, n))
+    if isinstance(e, we.OmegaProd):
+        factors = we.contributing_factors(e.spec, n)
+        return fw.concat_all([project_by_recursion(factors[m], n) for m in sorted(factors)])
+    if isinstance(e, we.TauProd):
+        factors = we.contributing_factors(e.spec, n)
+        order = sorted(factors, key=position_key)
+        return fw.concat_all([project_by_recursion(factors[m], n) for m in order])
+    raise TypeError(f"cannot project {type(e).__name__}")
+
+
+def collect_eta_by_recursion(e: we.WordExpr, sign: int, consts: dict[int, int], aps: list) -> None:
+    """Reference for the reading in ``word_expr._eta``: the signed exponent sum
+    of each constant letter goes to ``consts``, each symbolic leaf to ``aps``
+    as ``(base, coef, signed exp)``."""
+    if isinstance(e, we.Letter):
+        consts[e.index] = consts.get(e.index, 0) + sign * e.exp
+        if consts[e.index] == 0:
+            del consts[e.index]
+    elif isinstance(e, we.SymLetter):
+        aps.append((e.base, e.coef, sign * e.exp))
+    elif isinstance(e, we.Concat):
+        for f in e.factors:
+            collect_eta_by_recursion(f, sign, consts, aps)
+    elif isinstance(e, we.Inverse):
+        collect_eta_by_recursion(e.of, -sign, consts, aps)
+    elif isinstance(e, (we.OmegaProd, we.TauProd)):
+        for f in e.spec.prefix:
+            collect_eta_by_recursion(f, sign, consts, aps)
+        if isinstance(e.spec.tail, we.Template):
+            for body in e.spec.tail.bodies:
+                collect_eta_by_recursion(body, sign, consts, aps)
+    else:
+        raise TypeError(f"cannot collect {type(e).__name__}")
+
+
+# (shape, path of the chain's first node, path step per level): the deepest node
+# of ``nesting_chain(shape, levels)`` sits at head + step * (levels - head level)
+NESTING_CHAINS = [
+    ("concat", "expr", ".factors[0]"),
+    ("inverse", "expr", ".of"),
+    ("prefix", "expr.prefix[0]", ".factors[0]"),
+    ("body", "expr.tail.bodies[0]", ".of"),
+]
+
+
+def nesting_chain(shape: str, levels: int) -> we.WordExpr:
+    """An expression whose deepest node is ``levels`` below the root: a chain of
+    concats or inverses around a letter, or an omega product whose prefix holds
+    a concat chain or whose template body is an inverse chain."""
+    e = we.SymLetter(1, 1, 1) if shape == "body" else we.Letter(1, 1)
+    for _ in range(levels if shape in ("concat", "inverse") else levels - 1):
+        e = we.Inverse(e) if shape in ("inverse", "body") else we.Concat((e,))
+    if shape == "prefix":
+        return we.OmegaProd(we.SeqSpec((e,), we.Trivial()))
+    if shape == "body":
+        return we.OmegaProd(we.SeqSpec((), we.Template((e,))))
+    return e
+
+
+def too_deep_path(head: str, step: str) -> str:
+    """The path of the first node past ``MAX_NESTING`` in a ``NESTING_CHAINS`` chain."""
+    head_level = 0 if head == "expr" else 1
+    return head + step * (we.MAX_NESTING + 1 - head_level)
 
 
 def commutator_decompose_by_sorting(w: fw.ReducedWord) -> list[tuple[fw.ReducedWord, fw.ReducedWord]]:

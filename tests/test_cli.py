@@ -6,7 +6,14 @@ import pytest
 
 from tauword import cli, james_monoid as jm, orders, rearrange as ra, word_expr as we
 
-from conftest import check_saturated, equal_up_to_by_levels, standard_nbhd
+from conftest import (
+    NESTING_CHAINS,
+    check_saturated,
+    equal_up_to_by_levels,
+    nesting_chain,
+    standard_nbhd,
+    too_deep_path,
+)
 
 
 def run(capsys, *argv):
@@ -355,7 +362,7 @@ def test_missing_expression_field_is_input_error(tmp_path, capsys, blob, where):
         ({"kind": "block", "perm": [1, 0]}, "missing field 'period' in a block bijection"),
         ({"kind": "block", "period": 2}, "missing field 'perm' in a block bijection"),
         ({"kind": "compose"}, "missing field 'of' in a compose bijection"),
-        ({"kind": "compose", "of": [{"kind": "block"}]}, "missing field 'period' in a block bijection"),
+        ({"kind": "compose", "of": [{"kind": "block"}]}, "of[0]: missing field 'period' in a block bijection"),
     ],
     ids=["cycles", "period", "perm", "of", "nested_period"],
 )
@@ -541,9 +548,10 @@ def test_wedge_letter_map_errors(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: an explicit letter map needs a finite-support image\n")
 
 
-def deep_inverse_file(tmp_path, depth=3000):
-    """An expression file nesting ``depth`` inverse nodes, written as text
-    because ``json.dumps`` itself recurses once per level."""
+def deep_inverse_file(tmp_path, depth=50000):
+    """An expression file nesting ``depth`` inverse nodes, too deep for ``json``
+    to decode on Python 3.10 to 3.13, written as text because ``json.dumps``
+    itself recurses once per level."""
     path = tmp_path / "deep.json"
     leaf = json.dumps(we.to_json(we.Letter(1, 1)))
     path.write_text('{"type": "inverse", "of": ' * depth + leaf + "}" * depth)
@@ -561,6 +569,50 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "wedge", "--builtin", "ell_tau", "--presentations", deep)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read presentations {deep!r}: maximum recursion depth")
+
+
+@pytest.mark.parametrize("shape, head, step", NESTING_CHAINS, ids=[c[0] for c in NESTING_CHAINS])
+def test_nesting_limit_is_one_input_error(tmp_path, capsys, shape, head, step):
+    chain = nesting_chain(shape, we.MAX_NESTING)
+    ok = write_json(tmp_path, "ok.json", we.to_json(chain))
+    assert run(capsys, "project", "--expr", ok, "--n", "2") == (0, f"{we.project(chain, 2)}\n", "")
+    deep = write_json(tmp_path, "deep.json", we.to_json(nesting_chain(shape, we.MAX_NESTING + 1)))
+    where = too_deep_path(head, step).replace("tail.bodies[0]", "tail.body")  # one body is written as 'body'
+    code, out, err = run(capsys, "project", "--expr", deep, "--n", "2")
+    assert (code, out, err) == (
+        1, "", f"error: cannot read expression {deep!r}: {where}: nested deeper than {we.MAX_NESTING} levels\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wedge", "--builtin", "ell_tau", "--presentations", "P", "--blocks", "-3"], "--blocks must be non-negative, got -3"),
+        (["orders", "embed", "omega", "--count", "-5"], "--count must be non-negative, got -5"),
+    ],
+    ids=["blocks", "count"],
+)
+def test_negative_counts_are_input_errors(capsys, argv, message):
+    argv = [str(SAMPLES / "circle_wedge.json") if a == "P" else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_zero_counts_give_empty_reports(capsys):
+    code, out, _ = run(capsys, "wedge", "--builtin", "ell_tau", "--presentations", str(SAMPLES / "circle_wedge.json"),
+                       "--blocks", "0")
+    assert (code, out) == (0, "\n")
+    code, out, _ = run(capsys, "orders", "embed", "omega", "--count", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["rows"] == []
+
+
+def test_factor_prints_stages_in_letters_above_a_billion(tmp_path, capsys):
+    a, b = we.Letter(2 * 10**9, 1), we.Letter(2 * 10**9 + 1, 1)
+    path = write_json(tmp_path, "F.json", we.to_json(we.OmegaProd(we.SeqSpec((we.commutator_expr(a, b),), we.Trivial()))))
+    code, out, _ = run(capsys, "factor", "--expr", path, "--depth", "5")
+    assert (code, out) == (
+        0, "stage 1: l2000000000 l2000000001 l2000000000^-1 l2000000001^-1\n"
+        "projections match input up to depth 5: True\n",
+    )
 
 
 def test_factor_at_depth_zero_needs_a_positive_level(capsys):

@@ -192,3 +192,27 @@ def test_json_round_trip():
 def test_json_decoding_rejects_non_integers_and_wrong_shapes(blob):
     with pytest.raises(ra.MalformedBijectionError):
         ra.bijection_from_json(blob)
+
+
+def test_block_perm_length_is_checked_before_the_period_is_spelled_out():
+    with pytest.raises(ra.MalformedBijectionError, match=r"perm \(0,\) is not a permutation of 0\.\.999999999999$"):
+        ra.bijection_from_json({"kind": "block", "period": 10**12, "perm": [0]})
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"kind": "compose", "of": [{"kind": "block", "perm": [0]}]}, "of[0]: missing field 'period' in a block bijection"),
+        (
+            {"kind": "compose", "of": [{"kind": "finite", "cycles": []}, {"kind": "compose", "of": [{"kind": "zzz"}]}]},
+            "of[1].of[0]: unknown bijection kind 'zzz'",
+        ),
+        ({"kind": "compose", "of": [{"kind": "finite", "cycles": [[1, 2], [2, 3]]}]}, "of[0]: cycles overlap at 2"),
+        ({"kind": "compose", "of": 3}, "of must be a list, got 3"),
+    ],
+    ids=["missing_field", "nested_kind", "constructor", "top_level"],
+)
+def test_composition_errors_name_their_entry(blob, message):
+    with pytest.raises(ra.MalformedBijectionError) as info:
+        ra.bijection_from_json(blob)
+    assert str(info.value) == message

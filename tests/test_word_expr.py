@@ -8,14 +8,23 @@ from tauword import rearrange as ra
 from tauword import specker as sp
 from tauword import word_expr as we
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import (
+    NESTING_CHAINS,
+    collect_eta_by_recursion,
     equal_up_to_by_levels,
     make_rng,
+    nesting_chain,
+    nonzero,
+    project_by_recursion,
     random_bijection,
     random_expr,
+    random_finite_expr,
     random_product,
     random_zero_eta_expr,
     swapped_pair,
+    too_deep_path,
 )
 
 
@@ -464,3 +473,96 @@ def test_json_rejects_unknown():
 def test_json_decoding_is_strict_with_paths(blob, where):
     with pytest.raises(we.ValidationError, match=re.escape(where)):
         we.from_json(blob)
+
+
+# ---------------------------------------------------------------------------
+# the leaf walk and the nesting limit
+# ---------------------------------------------------------------------------
+
+
+def nested_expr(rng, levels):
+    """A chain of ``levels`` concat and inverse nodes around a letter; beside the
+    chain, the concats hold letters, finite expressions and products."""
+    e = we.Letter(rng.randint(1, 8), nonzero(rng))
+    for level in range(levels - 1, -1, -1):  # the level of the node built in this step
+        if rng.random() < 0.4:
+            e = we.Inverse(e)
+            continue
+        roll = rng.random()
+        if level + 5 <= we.MAX_NESTING and roll < 0.1:
+            side = random_expr(rng)  # at most four levels below its own
+        elif level + 3 <= we.MAX_NESTING and roll < 0.4:
+            side = random_finite_expr(rng)
+        else:
+            side = we.Letter(rng.randint(1, 8), nonzero(rng))
+        e = we.Concat((side, e) if rng.random() < 0.5 else (e, side))
+    return e
+
+
+def test_walk_agrees_with_the_recursive_oracles_fuzzed():
+    rng = make_rng(1515)
+    exprs = [random_finite_expr(rng, depth=4) for _ in range(40)]
+    exprs += [random_expr(rng) for _ in range(80)]
+    exprs += [nested_expr(rng, rng.randint(1, we.MAX_NESTING)) for _ in range(15)]
+    exprs += [nested_expr(rng, we.MAX_NESTING) for _ in range(5)]
+    for e in exprs:
+        assert we.validate(e) == []
+        for n in range(1, 13):
+            assert we.project(e, n) == project_by_recursion(e, n)
+        consts, aps = {}, []
+        collect_eta_by_recursion(e, 1, consts, aps)
+        expected = [
+            consts.get(n, 0) + sum(exp for base, coef, exp in aps if n >= base and (n - base) % coef == 0)
+            for n in range(1, 61)
+        ]
+        assert we.eta(e).coords(60) == expected
+
+
+@pytest.mark.parametrize("shape, head, step", NESTING_CHAINS, ids=[c[0] for c in NESTING_CHAINS])
+def test_nesting_limit_holds_for_every_node_type(shape, head, step):
+    assert we.validate(nesting_chain(shape, we.MAX_NESTING)) == []
+    deep = nesting_chain(shape, we.MAX_NESTING + 1)
+    assert we.validate(deep) == [f"{too_deep_path(head, step)}: nested deeper than {we.MAX_NESTING} levels"]
+
+
+@pytest.mark.parametrize("shape", [c[0] for c in NESTING_CHAINS])
+def test_a_chain_far_past_the_limit_is_reported_not_recursed(shape):
+    deep = nesting_chain(shape, 5000)
+    report = we.validate(deep)
+    assert len(report) == 1 and report[0].endswith(f": nested deeper than {we.MAX_NESTING} levels")
+    with pytest.raises(we.ValidationError):
+        we.project(deep, 2)
+
+
+def test_finite_word_reads_letters_above_any_level():
+    a, b = we.Letter(2 * 10**9, 1), we.Letter(2 * 10**9 + 1, 1)
+    assert str(we.finite_word(we.commutator_expr(a, b))) == (
+        "l2000000000 l2000000001 l2000000000^-1 l2000000001^-1"
+    )
+    with pytest.raises(TypeError):
+        we.finite_word(we.OmegaProd(we.SeqSpec((a,), we.Trivial())))
+
+
+_words = st.sampled_from(
+    ["type", "kind", "letter", "concat", "inverse", "omega", "tau", "trivial", "template", "finite", "block",
+     "compose", "index", "exp", "base", "coef", "factors", "of", "prefix", "tail", "body", "bodies", "cycles",
+     "period", "perm"]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.integers() | st.floats(allow_nan=False) | _words,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_words, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_decoders_raise_only_their_input_errors(obj):
+    try:
+        we.validate(we.from_json(obj))
+    except we.ValidationError:
+        pass
+    try:
+        ra.bijection_from_json(obj)
+    except ra.MalformedBijectionError:
+        pass
