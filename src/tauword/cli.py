@@ -24,26 +24,27 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 1), not argparse's exit 2, the negative-verdict code."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 # Omega images climb one level per index, so an embed report's last endpoints have
 # about count/2 digits: below Python's 4300-digit int-to-str limit, in a report of 20 MB.
 MAX_EMBED_COUNT = 4000
 
 
-class _ExprArg(argparse.Action):
-    """Collect --expr FILE and --builtin NAME in command-line order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        kind = "builtin" if option_string == "--builtin" else "file"
-        items = getattr(namespace, "exprs", None) or []
-        items.append((kind, values))
-        namespace.exprs = items
-
-
 def _add_expr_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", action=_ExprArg, metavar="FILE", help="expression file (canonical JSON)")
+    """--expr FILE and --builtin NAME, collected in command-line order as (kind, value) pairs."""
+    p.add_argument("--expr", action="append", dest="exprs", type=lambda v: ("file", v), metavar="FILE",
+                   help="expression file (canonical JSON)")
     p.add_argument(
         "--builtin",
-        action=_ExprArg,
+        action="append",
+        dest="exprs",
+        type=lambda v: ("builtin", v),
         metavar="NAME",
         help=f"built-in expression: {', '.join(sorted(word_expr.BUILTINS))}",
     )
@@ -246,11 +247,11 @@ def cmd_abelianize(ns) -> int:
 
 def cmd_james(ns) -> int:
     m = _read(ns.model, "model", lambda fh: james_monoid.parse_model(fh.read()), (OSError, james_monoid.ModelError))
-    if len(m.points) > ns.max_points:
-        raise InputError(f"model has {len(m.points)} points, bound is {ns.max_points}")
+    if len(m.points) > james_monoid.MAX_POINTS:
+        raise InputError(f"model has {len(m.points)} points, bound is {james_monoid.MAX_POINTS}")
     n = ns.n
-    if ns.check in ("nbhd", "saturation") and not 1 <= n <= ns.max_n:
-        raise InputError(f"neighbourhood sweeps are bounded to n <= {ns.max_n}")
+    if ns.check in ("nbhd", "saturation") and not 1 <= n <= james_monoid.MAX_N:
+        raise InputError(f"neighbourhood sweeps are bounded to n <= {james_monoid.MAX_N}")
     report = {"command": "james", "check": ns.check, "n": n}
     if ns.check == "fibers":
         rows = report["rows"] = james_monoid.fiber_rows(m, n)
@@ -270,7 +271,7 @@ def cmd_james(ns) -> int:
         report.update(neighborhoods=checked, saturated=saturated)
         lines = [f"standard neighborhoods at n={n}: {checked}, saturated: {saturated}"]
     else:
-        rep = james_monoid.topologies_agree(m, n, ns.max_points, ns.max_n)
+        rep = james_monoid.topologies_agree(m, n)
         failed = not (rep.agree and rep.stable)
         flags = ("agree", "stable", "stage_t1", "model_t1", "base_closed", "closed_in_next")
         report.update({flag: getattr(rep, flag) for flag in flags})
@@ -341,7 +342,7 @@ def cmd_wedge(ns) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``tauword`` parser, built once per process; parsing never mutates it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tauword",
         description="Exact computations with infinite and transfinite word concatenations.",
     )
@@ -386,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--check", choices=("fibers", "nbhd", "saturation", "topology"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-points", type=int, default=4, dest="max_points")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
     p.set_defaults(func=cmd_james)
 
     p = sub.add_parser("orders", help="component arithmetic and canonical embeddings")
@@ -418,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         for flag in ("depth", "blocks", "count"):  # blocks and count belong to some subcommands only
             if getattr(ns, flag, 0) < 0:
                 raise InputError(f"--{flag} must be non-negative, got {getattr(ns, flag)}")

@@ -34,6 +34,11 @@ class SizeBoundError(ValueError):
     """Model or stage exceeds the exhaustive-check bounds."""
 
 
+MAX_POINTS = 4  # points of a model, in every exhaustive check
+MAX_N = 3  # the stage of the neighbourhood, saturation and topology checks
+MAX_FIBER_N = 8  # the power whose fibers are enumerated
+
+
 Word = tuple[str, ...]
 Tuple_ = tuple[str, ...]
 
@@ -239,9 +244,7 @@ class TopologyReport:
     closed_in_next: bool
 
 
-def topologies_agree(
-    m: FiniteSpaceModel, n: int, max_points: int = 4, max_n: int = 3
-) -> TopologyReport:
+def topologies_agree(m: FiniteSpaceModel, n: int) -> TopologyReport:
     """Compare the quotient topology on the length-n stage with the subspace
     topology induced by the length-(n+1) quotient (and length-(n+2) as a
     stability check), via minimal open sets.
@@ -249,9 +252,9 @@ def topologies_agree(
     Also reports whether the stage is T1, whether the basepoint is closed,
     and whether the stage is closed in the next one.
     """
-    if len(m.points) > max_points or n > max_n:
+    if len(m.points) > MAX_POINTS or n > MAX_N:
         raise SizeBoundError(
-            f"bounds exceeded: {len(m.points)} points (max {max_points}), n={n} (max {max_n})"
+            f"bounds exceeded: {len(m.points)} points (max {MAX_POINTS}), n={n} (max {MAX_N})"
         )
     stage = set(words_up_to(m, n))
     quotient = quotient_min_opens(m, n)
@@ -289,7 +292,7 @@ def topologies_agree(
 _POINT_NAMES = ("e", "a", "b", "c")
 
 
-def all_models(max_points: int = 4) -> list[FiniteSpaceModel]:
+def all_models(max_points: int = MAX_POINTS) -> list[FiniteSpaceModel]:
     """Every labeled poset on at most max_points points with basepoint 'e'."""
     out = []
     for size in range(1, max_points + 1):
@@ -439,9 +442,9 @@ def expected_fiber_count(n: int, length: int) -> int:
 
 
 def fiber_rows(m: FiniteSpaceModel, n: int) -> list[dict]:
-    """Fiber size of each reduced word over the n-th power (n <= 8), and the expected C(n, length)."""
-    if not 0 <= n <= 8:
-        raise SizeBoundError("fiber enumeration is bounded to n <= 8")
+    """Fiber size of each reduced word over the n-th power (n <= MAX_FIBER_N), and the expected C(n, length)."""
+    if not 0 <= n <= MAX_FIBER_N:
+        raise SizeBoundError(f"fiber enumeration is bounded to n <= {MAX_FIBER_N}")
     counts = fiber_counts_by_pass(m, n)
     rows = []
     for w in sorted(counts, key=lambda w: (len(w), w)):

@@ -161,26 +161,18 @@ class Compose(BijectionSpec):
         return Compose(tuple(p.inverse() for p in reversed(self.parts)))
 
     def eventual_structure(self) -> EventualStructure:
-        # in application order, each stage must see inputs beyond its own
-        # bound; inputs shrink by at most the minimum offset of earlier stages
-        applied = [p.eventual_structure() for p in reversed(self.parts)]
-        period = 1
-        for st in applied:
-            period = lcm(period, st.period)
-        bound = 0
-        shift = 0
-        for st in applied:
+        # in application order, each stage must see inputs beyond its own bound; inputs shrink
+        # by at most the minimum offsets of earlier stages.  Beyond the bound the earlier stages
+        # move k to k + a, a = offsets[(k-1) % period], and st.period divides the new period: exact
+        bound, shift, period, offsets = 0, 0, 1, (0,)
+        for st in (p.eventual_structure() for p in reversed(self.parts)):
             bound = max(bound, st.bound - shift)
             shift += min(st.offsets)
+            period = lcm(period, st.period)
+            a = [offsets[c % len(offsets)] for c in range(period)]
+            offsets = tuple(a[c] + st.offsets[(c + a[c]) % st.period] for c in range(period))
         bound = -(-bound // period) * period  # align so offsets index by (k-1) % period
-        offsets = tuple(
-            self.evaluate(bound + 1 + t) - (bound + 1 + t) for t in range(period)
-        )
-        structure = EventualStructure(bound, period, offsets)
-        for k in range(bound + 1, bound + 3 * period + 1):
-            if self.evaluate(k) != k + structure.offset_at(k):
-                raise RuntimeError(f"composition is not residue-offset beyond {bound} (at {k})")
-        return structure
+        return EventualStructure(bound, period, offsets)
 
     def to_json(self) -> dict:
         return {"kind": "compose", "of": [p.to_json() for p in self.parts]}
@@ -230,9 +222,7 @@ class SparseEmbed:
 
     def preserving_bound(self, at_least: int) -> int:
         # 2^K - 1 works whenever the inner bijection maps {1..K} onto itself
-        k = 1
-        while 2**k - 1 < at_least:
-            k += 1
+        k = max(at_least, 1).bit_length()  # the least k >= 1 with 2^k - 1 >= at_least
         k = self.inner.preserving_bound(k)
         return 2**k - 1
 

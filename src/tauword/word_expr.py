@@ -122,9 +122,10 @@ def commutator_expr(a: WordExpr, b: WordExpr) -> Concat:
 # Validation
 # ---------------------------------------------------------------------------
 
-# Every node is one level below its parent, whatever its type.  The decoder and
-# ``validate`` reject deeper nodes, which keeps the recursive tree builders far
-# below the interpreter's recursion limit; the readers walk an explicit stack.
+# Every node is one level below its parent, whatever its type.  The decoder,
+# ``validate`` and ``to_json`` reject deeper nodes, which keeps the recursive tree
+# builders far below the interpreter's recursion limit; the readers walk an
+# explicit stack.
 MAX_NESTING = 100
 
 
@@ -495,9 +496,7 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
     new_prefix = tuple(factor_at(spec, phi.evaluate(k)) for k in range(1, cut + 1))
     new_bodies = []
     for t0 in range(big):
-        s0 = t0 + cut + st.offsets[t0 % st.period] - r
-        if s0 < 0:
-            raise RuntimeError(f"rearranged tail body {t0} reads before the tail (offset {s0})")
+        s0 = t0 + cut + st.offsets[t0 % st.period] - r  # >= 1, since cut > low >= r - min(st.offsets)
         new_bodies.append(instantiate(bodies[s0 % q_count], s0 // q_count, big // q_count))
     return make(SeqSpec(new_prefix, Template(tuple(new_bodies))))
 
@@ -595,31 +594,39 @@ def _is_inverse_quad(fs) -> bool:
 
 
 def to_json(e: WordExpr) -> dict:
-    if isinstance(e, Letter):
-        return {"type": "letter", "index": e.index, "exp": e.exp}
-    if isinstance(e, SymLetter):
-        return {"type": "letter", "base": e.base, "coef": e.coef, "exp": e.exp}
-    if isinstance(e, Concat):
-        return {"type": "concat", "factors": [to_json(f) for f in e.factors]}
-    if isinstance(e, Inverse):
-        return {"type": "inverse", "of": to_json(e.of)}
-    if isinstance(e, (OmegaProd, TauProd)):
-        kind = "omega" if isinstance(e, OmegaProd) else "tau"
-        if isinstance(e.spec.tail, Trivial):
-            tail: dict = {"kind": "trivial"}
-        elif len(e.spec.tail.bodies) == 1:
-            tail = {"kind": "template", "body": to_json(e.spec.tail.bodies[0])}
-        else:
-            tail = {
-                "kind": "template",
-                "bodies": [to_json(b) for b in e.spec.tail.bodies],
+    """Canonical JSON of e; a tree nested deeper than ``MAX_NESTING`` raises
+    ``ValidationError`` with the report of ``validate``."""
+
+    def encode(node: WordExpr, level: int) -> dict:
+        if level > MAX_NESTING:
+            raise ValidationError(validate(e))
+        if isinstance(node, Letter):
+            return {"type": "letter", "index": node.index, "exp": node.exp}
+        if isinstance(node, SymLetter):
+            return {"type": "letter", "base": node.base, "coef": node.coef, "exp": node.exp}
+        if isinstance(node, Concat):
+            return {"type": "concat", "factors": [encode(f, level + 1) for f in node.factors]}
+        if isinstance(node, Inverse):
+            return {"type": "inverse", "of": encode(node.of, level + 1)}
+        if isinstance(node, (OmegaProd, TauProd)):
+            kind = "omega" if isinstance(node, OmegaProd) else "tau"
+            if isinstance(node.spec.tail, Trivial):
+                tail: dict = {"kind": "trivial"}
+            elif len(node.spec.tail.bodies) == 1:
+                tail = {"kind": "template", "body": encode(node.spec.tail.bodies[0], level + 1)}
+            else:
+                tail = {
+                    "kind": "template",
+                    "bodies": [encode(b, level + 1) for b in node.spec.tail.bodies],
+                }
+            return {
+                "type": kind,
+                "prefix": [encode(f, level + 1) for f in node.spec.prefix],
+                "tail": tail,
             }
-        return {
-            "type": kind,
-            "prefix": [to_json(f) for f in e.spec.prefix],
-            "tail": tail,
-        }
-    raise TypeError(f"cannot serialize {type(e).__name__}")
+        raise TypeError(f"cannot serialize {type(node).__name__}")
+
+    return encode(e, 0)
 
 
 def from_json(obj) -> WordExpr:

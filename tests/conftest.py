@@ -1,12 +1,14 @@
 """Shared deterministic generators for fuzzed inputs, and reference oracles
 (the set-based twins of the ``james_monoid`` bitmask stage engine, the
 scan-based twins of the ``orders`` embedding and extension, the sorting
-twin of the letter-peeling ``commutator_decompose`` and the recursive twins
-of the ``word_expr`` leaf walk among them)."""
+twin of the letter-peeling ``commutator_decompose``, the recursive twins
+of the ``word_expr`` leaf walk and the sampled twin of the folded
+``Compose.eventual_structure`` among them)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable, Optional, Sequence
 
@@ -160,6 +162,38 @@ def random_bijection(rng, max_support=12) -> ra.BijectionSpec:
     return atom()
 
 
+def random_nested_bijection(rng, depth: int = 3) -> ra.BijectionSpec:
+    """A ``random_bijection``, or a composition of 0-3 nested ones down to ``depth``."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_bijection(rng)
+    return ra.Compose(tuple(random_nested_bijection(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+
+
+def compose_structure_by_sampling(phi: ra.Compose) -> ra.EventualStructure:
+    """Reference for ``Compose.eventual_structure``: the composite evaluated on one
+    period beyond the folded bound, then checked on three more periods."""
+    # in application order, each stage must see inputs beyond its own
+    # bound; inputs shrink by at most the minimum offset of earlier stages
+    applied = [p.eventual_structure() for p in reversed(phi.parts)]
+    period = 1
+    for st in applied:
+        period = math.lcm(period, st.period)
+    bound = 0
+    shift = 0
+    for st in applied:
+        bound = max(bound, st.bound - shift)
+        shift += min(st.offsets)
+    bound = -(-bound // period) * period  # align so offsets index by (k-1) % period
+    offsets = tuple(
+        phi.evaluate(bound + 1 + t) - (bound + 1 + t) for t in range(period)
+    )
+    structure = ra.EventualStructure(bound, period, offsets)
+    for k in range(bound + 1, bound + 3 * period + 1):
+        if phi.evaluate(k) != k + structure.offset_at(k):
+            raise RuntimeError(f"composition is not residue-offset beyond {bound} (at {k})")
+    return structure
+
+
 def equal_up_to_by_levels(a, b, n_max: int) -> we.EqualityResult:
     """Reference for ``equal_up_to``: both sides projected afresh at every level."""
     for n in range(1, n_max + 1):
@@ -234,6 +268,21 @@ def nesting_chain(shape: str, levels: int) -> we.WordExpr:
         return we.OmegaProd(we.SeqSpec((e,), we.Trivial()))
     if shape == "body":
         return we.OmegaProd(we.SeqSpec((), we.Template((e,))))
+    return e
+
+
+def nesting_chain_json(shape: str, levels: int) -> dict:
+    """The canonical JSON of ``nesting_chain(shape, levels)``, built directly, since
+    ``to_json`` refuses a chain past ``MAX_NESTING``."""
+    e: dict = {"type": "letter", "index": 1, "exp": 1}
+    if shape == "body":
+        e = {"type": "letter", "base": 1, "coef": 1, "exp": 1}
+    for _ in range(levels if shape in ("concat", "inverse") else levels - 1):
+        e = {"type": "inverse", "of": e} if shape in ("inverse", "body") else {"type": "concat", "factors": [e]}
+    if shape == "prefix":
+        return {"type": "omega", "prefix": [e], "tail": {"kind": "trivial"}}
+    if shape == "body":
+        return {"type": "omega", "prefix": [], "tail": {"kind": "template", "body": e}}
     return e
 
 

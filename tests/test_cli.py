@@ -11,6 +11,7 @@ from conftest import (
     check_saturated,
     equal_up_to_by_levels,
     nesting_chain,
+    nesting_chain_json,
     standard_nbhd,
     too_deep_path,
 )
@@ -576,7 +577,7 @@ def test_nesting_limit_is_one_input_error(tmp_path, capsys, shape, head, step):
     chain = nesting_chain(shape, we.MAX_NESTING)
     ok = write_json(tmp_path, "ok.json", we.to_json(chain))
     assert run(capsys, "project", "--expr", ok, "--n", "2") == (0, f"{we.project(chain, 2)}\n", "")
-    deep = write_json(tmp_path, "deep.json", we.to_json(nesting_chain(shape, we.MAX_NESTING + 1)))
+    deep = write_json(tmp_path, "deep.json", nesting_chain_json(shape, we.MAX_NESTING + 1))
     where = too_deep_path(head, step).replace("tail.bodies[0]", "tail.body")  # one body is written as 'body'
     code, out, err = run(capsys, "project", "--expr", deep, "--n", "2")
     assert (code, out, err) == (
@@ -719,6 +720,23 @@ def test_mixed_expr_sources_keep_order(tmp_path, capsys):
     assert code == 2
     blob = json.loads(out)
     assert blob["witness"] == {"n": 2, "left": "l2 l1", "right": "l1 l2"}
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["project", "--builtin", "ell_tau", "--n", "abc"], "--n"),
+        (["project", "--builtin", "ell_tau"], "--n"),
+        (["frobnicate"], "frobnicate"),
+        (["james", "--model", "M", "--check", "sweep", "--n", "2"], "--check"),
+    ],
+    ids=["invalid_int", "missing_option", "unknown_subcommand", "unknown_choice"],
+)
+def test_usage_errors_are_input_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+    assert option in err
 
 
 def test_help_paths():

@@ -4,7 +4,7 @@ import pytest
 
 from tauword import rearrange as ra
 
-from conftest import make_rng, random_bijection
+from conftest import compose_structure_by_sampling, make_rng, random_bijection, random_nested_bijection
 
 
 def test_evaluate_examples():
@@ -150,18 +150,32 @@ def test_finite_support_table_built_once():
     assert hash(phi) == hash(ra.FiniteSupport(((2, 5, 9), (1, 4))))
 
 
-def test_compose_self_check_raises():
-    class Liar(ra.BijectionSpec):
-        """Claims to be the identity beyond 0 but moves 2."""
+def _compositions(phi):
+    """Every composition in phi, with its nesting depth."""
+    stack = [(phi, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, ra.Compose):
+            yield node, depth
+            stack.extend((part, depth + 1) for part in node.parts)
 
-        def evaluate(self, k):
-            return {2: 3, 3: 2}.get(k, k)
 
-        def eventual_structure(self):
-            return ra.EventualStructure(0, 1, (0,))
-
-    with pytest.raises(RuntimeError, match="residue-offset"):
-        ra.Compose((Liar(),)).eventual_structure()
+def test_compose_structure_is_the_sampled_structure():
+    rng = make_rng(409)
+    seen = {"depth3": 0, "empty": 0, "negative": 0, "past_period": 0}
+    for _ in range(2000):
+        phi = random_nested_bijection(rng)
+        if not isinstance(phi, ra.Compose):
+            phi = ra.Compose((phi,))
+        st = phi.eventual_structure()
+        assert st == compose_structure_by_sampling(phi), phi
+        nodes = list(_compositions(phi))
+        seen["depth3"] += max(depth for _, depth in nodes) >= 3
+        seen["empty"] += any(not node.parts for node, _ in nodes)
+        seen["negative"] += min(st.offsets) < 0
+        seen["past_period"] += st.bound > st.period
+    assert ra.Compose(()).eventual_structure() == ra.EventualStructure(0, 1, (0,))
+    assert all(seen.values()), seen
 
 
 def test_json_round_trip():

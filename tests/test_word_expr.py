@@ -16,11 +16,13 @@ from conftest import (
     equal_up_to_by_levels,
     make_rng,
     nesting_chain,
+    nesting_chain_json,
     nonzero,
     project_by_recursion,
     random_bijection,
     random_expr,
     random_finite_expr,
+    random_nested_bijection,
     random_product,
     random_zero_eta_expr,
     swapped_pair,
@@ -246,9 +248,9 @@ def test_apply_bijection_transposition_example():
 
 def test_apply_bijection_factorwise_fuzzed():
     rng = make_rng(506)
-    for _ in range(80):
-        p = random_product(rng)
-        phi = random_bijection(rng)
+    cases = [(random_product(rng), random_bijection(rng)) for _ in range(80)]
+    cases += [(random_product(rng), random_nested_bijection(rng)) for _ in range(80)]
+    for p, phi in cases:
         q = we.apply_bijection(p, phi)
         assert type(q) is type(p)
         for k in range(1, 70):
@@ -523,6 +525,17 @@ def test_nesting_limit_holds_for_every_node_type(shape, head, step):
     assert we.validate(nesting_chain(shape, we.MAX_NESTING)) == []
     deep = nesting_chain(shape, we.MAX_NESTING + 1)
     assert we.validate(deep) == [f"{too_deep_path(head, step)}: nested deeper than {we.MAX_NESTING} levels"]
+
+
+@pytest.mark.parametrize("shape, head, step", NESTING_CHAINS, ids=[c[0] for c in NESTING_CHAINS])
+def test_to_json_stops_at_the_nesting_limit(shape, head, step):
+    assert we.to_json(nesting_chain(shape, we.MAX_NESTING)) == nesting_chain_json(shape, we.MAX_NESTING)
+    for levels in (we.MAX_NESTING + 1, 5000):
+        deep = nesting_chain(shape, levels)
+        with pytest.raises(we.ValidationError) as info:
+            we.to_json(deep)
+        assert info.value.report == we.validate(deep)
+        assert str(info.value) == f"{too_deep_path(head, step)}: nested deeper than {we.MAX_NESTING} levels"
 
 
 @pytest.mark.parametrize("shape", [c[0] for c in NESTING_CHAINS])
