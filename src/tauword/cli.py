@@ -34,6 +34,9 @@ class _Parser(argparse.ArgumentParser):
 # Omega images climb one level per index, so an embed report's last endpoints have
 # about count/2 digits: below Python's 4300-digit int-to-str limit, in a report of 20 MB.
 MAX_EMBED_COUNT = 4000
+# Component m lies on level m.bit_length(), and its endpoints have the denominator 3^level:
+# 3^9012 is the largest such power within Python's 4300-digit int-to-str limit.
+MAX_THETA_BITS = 9012
 
 
 def _add_expr_args(p: argparse.ArgumentParser) -> None:
@@ -288,6 +291,8 @@ def cmd_james(ns) -> int:
 
 def cmd_orders(ns) -> int:
     if ns.action == "theta":
+        if ns.m >= 1 << MAX_THETA_BITS:
+            raise InputError(f"m must be below 2^{MAX_THETA_BITS}, got a number of {ns.m.bit_length()} bits")
         c = orders.theta(ns.m)
         report = {
             "command": "orders",
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orders", help="component arithmetic and canonical embeddings")
     order_sub = p.add_subparsers(dest="action", required=True)
     q = order_sub.add_parser("theta")
-    q.add_argument("m", type=int)
+    q.add_argument("m", type=int, help=f"component number, 1 <= m < 2^{MAX_THETA_BITS}")
     _add_common(q)
     q.set_defaults(func=cmd_orders, action="theta")
     q = order_sub.add_parser("compare")

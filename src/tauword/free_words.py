@@ -8,8 +8,9 @@ identity.  Letters are indexed from 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from ._frozen import Frozen
 
 
 class MalformedWordError(ValueError):
@@ -39,15 +40,18 @@ def _reduce_syllables(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple((l, e) for l, e in stack)
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedWord:
+class ReducedWord(Frozen):
     """A freely reduced word, e.g. l1 l2^-1 l3^2.
 
     Use :func:`reduce` (or the arithmetic operators) to build instances; the
     constructor trusts its input to already be reduced.
     """
 
-    syllables: tuple[Syllable, ...] = ()
+    _fields = ("syllables",)
+    __slots__ = _fields
+
+    def __init__(self, syllables: tuple[Syllable, ...] = ()) -> None:
+        object.__setattr__(self, "syllables", syllables)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         return concat(self, other)

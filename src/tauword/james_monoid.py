@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from math import comb
-from typing import Optional, Sequence
+
+from ._frozen import Frozen
 
 
 class ModelError(ValueError):
@@ -43,13 +44,15 @@ Word = tuple[str, ...]
 Tuple_ = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FiniteSpaceModel:
+class FiniteSpaceModel(Frozen):
     """Finite poset with basepoint; opens are up-sets of the stored order."""
 
-    points: tuple[str, ...]
-    base: str
-    le: frozenset[tuple[str, str]]  # reflexive-transitive order relation
+    _fields = ("points", "base", "le")
+
+    def __init__(self, points: tuple[str, ...], base: str, le: frozenset[tuple[str, str]]) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "le", le)  # reflexive-transitive order relation
 
     @cached_property
     def _ups(self) -> dict[str, frozenset[str]]:
@@ -232,16 +235,28 @@ def stage_closed_in_next(m: FiniteSpaceModel, n: int) -> bool:
     return not any(m.base in m.up(x) for t in tuples for x in t)
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    n: int
-    agree: bool
-    stable: bool
-    certificate: Optional[tuple[Word, frozenset[Word], frozenset[Word]]]
-    stage_t1: bool
-    base_closed: bool
-    model_t1: bool
-    closed_in_next: bool
+class TopologyReport(Frozen):
+    _fields = ("n", "agree", "stable", "certificate", "stage_t1", "base_closed", "model_t1", "closed_in_next")
+
+    def __init__(
+        self,
+        n: int,
+        agree: bool,
+        stable: bool,
+        certificate: tuple[Word, frozenset[Word], frozenset[Word]] | None,
+        stage_t1: bool,
+        base_closed: bool,
+        model_t1: bool,
+        closed_in_next: bool,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "agree", agree)
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "stage_t1", stage_t1)
+        object.__setattr__(self, "base_closed", base_closed)
+        object.__setattr__(self, "model_t1", model_t1)
+        object.__setattr__(self, "closed_in_next", closed_in_next)
 
 
 def topologies_agree(m: FiniteSpaceModel, n: int) -> TopologyReport:
@@ -294,6 +309,8 @@ _POINT_NAMES = ("e", "a", "b", "c")
 
 def all_models(max_points: int = MAX_POINTS) -> list[FiniteSpaceModel]:
     """Every labeled poset on at most max_points points with basepoint 'e'."""
+    if max_points > MAX_POINTS:
+        raise ValueError(f"max_points = {max_points} exceeds MAX_POINTS = {MAX_POINTS}")
     out = []
     for size in range(1, max_points + 1):
         pts = _POINT_NAMES[:size]
@@ -335,17 +352,28 @@ def canonical_key(m: FiniteSpaceModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Frozen):
     """The length-<=n stage of one model as bitmasks: tuple i of the n-th power is bit i."""
 
-    model: FiniteSpaceModel
-    n: int
-    opens: list[frozenset[str]]
-    base_opens: list[frozenset[str]]
-    tuples: list[Tuple_]
-    fiber_mask: dict[Word, int]
-    slot_masks: list[dict[frozenset[str], int]]  # slot -> open -> tuples with that slot in it
+    _fields = ("model", "n", "opens", "base_opens", "tuples", "fiber_mask", "slot_masks")
+
+    def __init__(
+        self,
+        model: FiniteSpaceModel,
+        n: int,
+        opens: list[frozenset[str]],
+        base_opens: list[frozenset[str]],
+        tuples: list[Tuple_],
+        fiber_mask: dict[Word, int],
+        slot_masks: list[dict[frozenset[str], int]],  # slot -> open -> tuples with that slot in it
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "opens", opens)
+        object.__setattr__(self, "base_opens", base_opens)
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "fiber_mask", fiber_mask)
+        object.__setattr__(self, "slot_masks", slot_masks)
 
 
 def stage_tables(m: FiniteSpaceModel, n: int) -> Stage:

@@ -20,21 +20,25 @@ sources to a bijection of all components (hence of their indices).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+
+from ._frozen import Frozen
 
 
 # the ternary number with digit 2 at each set bit of a byte, 0 elsewhere
 _TERNARY_OF_BYTE = [sum(2 * 3**i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
-@dataclass(frozen=True, slots=True, order=False)
-class CantorComponent:
+class CantorComponent(Frozen):
     """Removed open interval I(level, slot); its position is its dyadic key."""
 
-    level: int
-    slot: int
+    _fields = ("level", "slot")
+    __slots__ = _fields
+
+    def __init__(self, level: int, slot: int) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "slot", slot)
 
     @property
     def lo(self) -> Fraction:
@@ -101,7 +105,7 @@ def position_key(m: int) -> Fraction:
     return Fraction(2 * m + 1, 1 << _level(m))
 
 
-def least_component_in(lower: Optional[int], upper: Optional[int]) -> int:
+def least_component_in(lower: int | None, upper: int | None) -> int:
     """Smallest component number strictly between components lower and upper.
 
     None stands for the left resp. right end of [0, 1], whose keys are 1 and
@@ -133,7 +137,7 @@ class OrderSpec:
     through their keys.
     """
 
-    size: Optional[int] = None
+    size: int | None = None
     name = "order"
 
     def key(self, i: int):
@@ -279,7 +283,7 @@ class Embedding:
         self._images: list[int] = []  # component number of source index i at i-1
         self._keys: list = []  # placed source keys, ascending
         self._ascending: list[int] = []  # their images, hence ascending in position
-        self._membership: dict[int, Optional[int]] = {}  # every placed image is entered
+        self._membership: dict[int, int | None] = {}  # every placed image is entered
         self._missed: list[int] = []  # component numbers no index maps to, ascending
         self._scanned = 0  # components 1.._scanned are decided
 
@@ -313,7 +317,7 @@ class Embedding:
         self.ensure(i)
         return self._images[i - 1]
 
-    def index_of_component(self, m: int, max_steps: int = 200000) -> Optional[int]:
+    def index_of_component(self, m: int, max_steps: int = 200000) -> int | None:
         """Source index mapped to component m, or None if m is never hit.
 
         Decided by simulating placements with a per-source stopping rule:
@@ -326,7 +330,7 @@ class Embedding:
             self._membership[m] = self._decide_membership(m, max_steps)
         return self._membership[m]
 
-    def _decide_membership(self, m: int, max_steps: int) -> Optional[int]:
+    def _decide_membership(self, m: int, max_steps: int) -> int | None:
         # placed images are already in the memo, so m is none of them
         if compare(m, _CEILING) >= 0:
             return None  # images live strictly left of the ceiling
@@ -384,7 +388,7 @@ def back_and_forth_embed(spec: OrderSpec) -> Embedding:
     return Embedding(spec)
 
 
-PsiLike = Union[dict, Sequence, Callable[[int], int]]
+PsiLike = dict | Sequence | Callable[[int], int]
 
 
 def _as_callable(psi: PsiLike) -> Callable[[int], int]:

@@ -14,9 +14,10 @@ expression stay finitely described after rearrangement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+
+from ._frozen import Frozen
 
 
 class MalformedBijectionError(ValueError):
@@ -27,19 +28,21 @@ class MalformedBijectionError(ValueError):
         self.message, self.path = message, path
 
 
-@dataclass(frozen=True)
-class EventualStructure:
+class EventualStructure(Frozen):
     """phi(k) = k + offsets[(k-1) % period] for all k > bound."""
 
-    bound: int
-    period: int
-    offsets: tuple[int, ...]
+    _fields = ("bound", "period", "offsets")
+
+    def __init__(self, bound: int, period: int, offsets: tuple[int, ...]) -> None:
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "offsets", offsets)
 
     def offset_at(self, k: int) -> int:
         return self.offsets[(k - 1) % self.period]
 
 
-class BijectionSpec:
+class BijectionSpec(Frozen):
     def evaluate(self, k: int) -> int:
         raise NotImplementedError
 
@@ -66,21 +69,21 @@ class BijectionSpec:
         return self.evaluate(k)
 
 
-@dataclass(frozen=True)
 class FiniteSupport(BijectionSpec):
     """Product of disjoint cycles of positive integers, identity elsewhere."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    _fields = ("cycles",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]) -> None:
         seen: set[int] = set()
-        for cycle in self.cycles:
+        for cycle in cycles:
             for x in cycle:
                 if x < 1:
                     raise MalformedBijectionError(f"cycle entry {x} must be positive")
                 if x in seen:
                     raise MalformedBijectionError(f"cycles overlap at {x}")
                 seen.add(x)
+        object.__setattr__(self, "cycles", cycles)
 
     @cached_property
     def _cycle_table(self) -> dict[int, int]:
@@ -107,7 +110,6 @@ class FiniteSupport(BijectionSpec):
         return {"kind": "finite", "cycles": [list(c) for c in self.cycles]}
 
 
-@dataclass(frozen=True)
 class BlockPermute(BijectionSpec):
     """Permutes each block {jP+1, ..., (j+1)P} by a fixed residue permutation.
 
@@ -115,16 +117,17 @@ class BlockPermute(BijectionSpec):
     in the same block.
     """
 
-    period: int
-    perm: tuple[int, ...]
+    _fields = ("period", "perm")
 
-    def __post_init__(self) -> None:
-        if self.period < 1:
+    def __init__(self, period: int, perm: tuple[int, ...]) -> None:
+        if period < 1:
             raise MalformedBijectionError("period must be positive")
-        if len(self.perm) != self.period or sorted(self.perm) != list(range(self.period)):
+        if len(perm) != period or sorted(perm) != list(range(period)):
             raise MalformedBijectionError(
-                f"perm {self.perm} is not a permutation of 0..{self.period - 1}"
+                f"perm {perm} is not a permutation of 0..{period - 1}"
             )
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "perm", perm)
 
     def evaluate(self, k: int) -> int:
         if k < 1:
@@ -146,11 +149,13 @@ class BlockPermute(BijectionSpec):
         return {"kind": "block", "period": self.period, "perm": list(self.perm)}
 
 
-@dataclass(frozen=True)
 class Compose(BijectionSpec):
     """Composition, evaluated right to left: Compose([f, g])(k) = f(g(k))."""
 
-    parts: tuple[BijectionSpec, ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[BijectionSpec, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def evaluate(self, k: int) -> int:
         for part in reversed(self.parts):

@@ -12,13 +12,13 @@ unit-vector differences), and Smith normal form for integer matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import lcm
-from typing import Sequence
+
+from ._frozen import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class SpeckerVector:
+class SpeckerVector(Frozen):
     """Canonical form: primitive cycle, minimal prefix.
 
     Canonical means the cycle is not a repetition of a shorter cycle and the
@@ -26,12 +26,14 @@ class SpeckerVector:
     two instances are equal iff they agree coordinatewise.
     """
 
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
+    _fields = ("prefix", "cycle")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        if not self.cycle:
+    def __init__(self, prefix: tuple[int, ...], cycle: tuple[int, ...]) -> None:
+        if not cycle:
             raise ValueError("cycle must be nonempty")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     def at(self, n: int) -> int:
         """Coordinate n (1-based)."""

@@ -18,11 +18,11 @@ the free groups exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import lcm
-from typing import Iterator, Optional, Union
 
 from . import orders
+from ._frozen import Frozen
 # concat_all is not called here; bench/test_bench.py checks that tracing restores this module's binding of it
 from .free_words import ReducedWord, Syllable, commutator_decompose, concat_all, delete_above, reduce  # noqa: F401
 from .rearrange import is_bijection
@@ -43,66 +43,89 @@ class HypothesisViolationError(ValueError):
     """An operation's kernel hypothesis (zero winding vector) fails."""
 
 
-class WordExpr:
+class WordExpr(Frozen):
     """Base class for expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Letter(WordExpr):
-    index: int
-    exp: int = 1
+    _fields = ("index", "exp")
+    __slots__ = _fields
+
+    def __init__(self, index: int, exp: int = 1) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "exp", exp)
 
 
-@dataclass(frozen=True, slots=True)
 class SymLetter(WordExpr):
     """Template leaf: instance j is the letter base + coef*j."""
 
-    base: int
-    coef: int
-    exp: int = 1
+    _fields = ("base", "coef", "exp")
+    __slots__ = _fields
+
+    def __init__(self, base: int, coef: int, exp: int = 1) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "exp", exp)
 
 
-@dataclass(frozen=True, slots=True)
 class Concat(WordExpr):
-    factors: tuple[WordExpr, ...] = ()
+    _fields = ("factors",)
+    __slots__ = _fields
+
+    def __init__(self, factors: tuple[WordExpr, ...] = ()) -> None:
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True, slots=True)
 class Inverse(WordExpr):
-    of: WordExpr
+    _fields = ("of",)
+    __slots__ = _fields
+
+    def __init__(self, of: WordExpr) -> None:
+        object.__setattr__(self, "of", of)
 
 
-@dataclass(frozen=True, slots=True)
-class Trivial:
-    pass
+class Trivial(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Template:
+class Template(Frozen):
     """Tail factors bodies[t % len(bodies)] instantiated at t // len(bodies)."""
 
-    bodies: tuple[WordExpr, ...]
+    _fields = ("bodies",)
+    __slots__ = _fields
+
+    def __init__(self, bodies: tuple[WordExpr, ...]) -> None:
+        object.__setattr__(self, "bodies", bodies)
 
 
-TailRule = Union[Trivial, Template]
+TailRule = Trivial | Template
 
 
-@dataclass(frozen=True, slots=True)
-class SeqSpec:
-    prefix: tuple[WordExpr, ...]
-    tail: TailRule
+class SeqSpec(Frozen):
+    _fields = ("prefix", "tail")
+    __slots__ = _fields
+
+    def __init__(self, prefix: tuple[WordExpr, ...], tail: TailRule) -> None:
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True, slots=True)
 class OmegaProd(WordExpr):
-    spec: SeqSpec
+    _fields = ("spec",)
+    __slots__ = _fields
+
+    def __init__(self, spec: SeqSpec) -> None:
+        object.__setattr__(self, "spec", spec)
 
 
-@dataclass(frozen=True, slots=True)
 class TauProd(WordExpr):
-    spec: SeqSpec
+    _fields = ("spec",)
+    __slots__ = _fields
+
+    def __init__(self, spec: SeqSpec) -> None:
+        object.__setattr__(self, "spec", spec)
 
 
 def identity_expr() -> Concat:
@@ -298,7 +321,7 @@ def factor_at(spec: SeqSpec, m: int) -> WordExpr:
     return instantiate(bodies[t % len(bodies)], t // len(bodies))
 
 
-def finite_min_letter(e: WordExpr) -> Optional[int]:
+def finite_min_letter(e: WordExpr) -> int | None:
     """Smallest letter index in a finite (fully instantiated) expression."""
     return min((index for index, _ in _letters(e)), default=None)
 
@@ -411,12 +434,21 @@ def _eta(e: WordExpr) -> SpeckerVector:
     return vector(prefix, cycle)
 
 
-@dataclass(frozen=True, slots=True)
-class EqualityResult:
-    equal: bool
-    witness_level: Optional[int] = None
-    left: Optional[ReducedWord] = None
-    right: Optional[ReducedWord] = None
+class EqualityResult(Frozen):
+    _fields = ("equal", "witness_level", "left", "right")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        equal: bool,
+        witness_level: int | None = None,
+        left: ReducedWord | None = None,
+        right: ReducedWord | None = None,
+    ) -> None:
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "witness_level", witness_level)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __bool__(self) -> bool:
         return self.equal
@@ -529,7 +561,7 @@ def factor(e: WordExpr, depth: int = 12) -> tuple[SeqSpec, bool]:
     return spec, top is None or _project(OmegaProd(spec), depth) == top
 
 
-def _factorization(e: WordExpr, depth: int) -> tuple[SeqSpec, Optional[ReducedWord]]:
+def _factorization(e: WordExpr, depth: int) -> tuple[SeqSpec, ReducedWord | None]:
     """The factorization and the depth projection it was read from (None if already factored)."""
     ensure_valid(e)
     if not _eta(e).is_zero:

@@ -645,6 +645,20 @@ def test_orders_embed_count_is_bounded(capsys):
     assert str(last) and json.dumps(orders.theta_inv(last))
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_orders_theta_is_bounded(capsys, fmt):
+    bits = cli.MAX_THETA_BITS
+    assert bits == 9012
+    # the largest component number renders its 4300-digit endpoints
+    code, out, err = run(capsys, "orders", "theta", str((1 << bits) - 1), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert f"/{3 ** bits}" in out
+    code, out, err = run(capsys, "orders", "theta", str(1 << bits), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"error: m must be below 2^{bits}, got a number of {bits + 1} bits\n"
+    assert "Exceeds the limit" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -315,3 +315,11 @@ def test_all_models_counts():
     for m in models:
         by_size[len(m.points)] = by_size.get(len(m.points), 0) + 1
     assert by_size == {1: 1, 2: 3, 3: 19, 4: 219}
+    assert len(models) == 242
+
+
+def test_all_models_refuses_more_points_than_max_points():
+    # only MAX_POINTS point names exist; more points would repeat the 4-point models
+    assert jm.MAX_POINTS == 4
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        jm.all_models(5)

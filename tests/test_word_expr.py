@@ -210,7 +210,7 @@ def test_equal_up_to_matches_level_by_level_oracle_fuzzed():
     for a, b in _equality_pairs(rng):
         n_max = rng.randint(0, 16)
         got = we.equal_up_to(a, b, n_max)
-        # dataclass equality compares equal, witness_level, left and right
+        # EqualityResult equality compares equal, witness_level, left and right
         assert got == equal_up_to_by_levels(a, b, n_max), (a, b, n_max)
         witnesses.add(got.witness_level)
     # both verdicts and a spread of witness levels were exercised
