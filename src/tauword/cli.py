@@ -38,6 +38,9 @@ MAX_EMBED_COUNT = 4000
 # 3^9012 is the largest such power within Python's 4300-digit int-to-str limit.
 MAX_THETA_BITS = 9012
 
+# What a subcommand returns to main: its report, its text lines and its exit code.
+Result = tuple[dict, list[str], int]
+
 
 def _add_expr_args(p: argparse.ArgumentParser) -> None:
     """--expr FILE and --builtin NAME, collected in command-line order as (kind, value) pairs."""
@@ -89,47 +92,27 @@ def _load_exprs(ns, want: int) -> list[word_expr.WordExpr]:
     return out
 
 
-def _emit(report: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _config_echo(ns) -> dict:
-    return {"depth": ns.depth, "seed": ns.seed, "budget": ns.budget}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_project(ns) -> int:
+def cmd_project(ns) -> Result:
     (expr,) = _load_exprs(ns, 1)
     w = word_expr.project(expr, ns.n)
-    report = {"command": "project", "n": ns.n, "word": str(w), "config": _config_echo(ns)}
-    _emit(report, [str(w)], ns.fmt)
-    return 0
+    return {"n": ns.n, "word": str(w)}, [str(w)], 0
 
 
-def cmd_eta(ns) -> int:
+def cmd_eta(ns) -> Result:
     (expr,) = _load_exprs(ns, 1)
     v = word_expr.eta(expr)
-    report = {"command": "eta", "vector": str(v), "config": _config_echo(ns)}
-    _emit(report, [str(v)], ns.fmt)
-    return 0
+    return {"vector": str(v)}, [str(v)], 0
 
 
-def cmd_equal(ns) -> int:
+def cmd_equal(ns) -> Result:
     a, b = _load_exprs(ns, 2)
     result = word_expr.equal_up_to(a, b, ns.depth)
-    report = {
-        "command": "equal",
-        "depth": ns.depth,
-        "equal": result.equal,
-        "config": _config_echo(ns),
-    }
+    report = {"depth": ns.depth, "equal": result.equal}
     lines = []
     if result.equal:
         lines.append(f"equal up to depth {ns.depth} (evidence, not proof)")
@@ -143,8 +126,7 @@ def cmd_equal(ns) -> int:
             f"different: witness n={result.witness_level}: "
             f"{result.left} vs {result.right}"
         )
-    _emit(report, lines, ns.fmt)
-    return 0 if result.equal else 2
+    return report, lines, 0 if result.equal else 2
 
 
 def _load_bijection(ns) -> rearrange.BijectionSpec:
@@ -158,7 +140,7 @@ def _load_bijection(ns) -> rearrange.BijectionSpec:
                  (OSError, json.JSONDecodeError, RecursionError, rearrange.MalformedBijectionError))
 
 
-def cmd_shuffle(ns) -> int:
+def cmd_shuffle(ns) -> Result:
     (expr,) = _load_exprs(ns, 1)
     phi = _load_bijection(ns)
     try:
@@ -175,50 +157,43 @@ def cmd_shuffle(ns) -> int:
     ]
     all_identity = all(after.is_identity for after in afters)
     report = {
-        "command": "shuffle",
         "eta_before": str(eta_before),
         "eta_after": str(eta_after),
         "eta_invariant": eta_before == eta_after,
         "projections": projections,
         "all_projections_identity": all_identity,
-        "config": _config_echo(ns),
     }
     lines = [f"eta invariant: {report['eta_invariant']} ({eta_before})"]
     lines += [f"n={p['n']}: {p['before']}  ->  {p['after']}" for p in projections]
     lines.append(f"all shuffled projections identity: {all_identity}")
-    _emit(report, lines, ns.fmt)
-    return 0
+    return report, lines, 0
 
 
-def cmd_factor(ns) -> int:
+def cmd_factor(ns) -> Result:
     (expr,) = _load_exprs(ns, 1)
-    spec, verified = word_expr.factor(expr, ns.depth)
+    factors, verified = word_expr.factor(expr, ns.depth)
     stages = [
-        {"stage": i, "word": str(word_expr.finite_word(stage))} for i, stage in enumerate(spec.prefix, start=1)
+        {"stage": i, "word": str(word_expr.finite_word(stage))} for i, stage in enumerate(factors, start=1)
     ]
     report = {
-        "command": "factor",
         "depth": ns.depth,
         "stages": stages,
         "projections_match": verified,
-        "config": _config_echo(ns),
     }
     lines = [f"stage {s['stage']}: {s['word']}" for s in stages]
     lines.append(f"projections match input up to depth {ns.depth}: {verified}")
-    _emit(report, lines, ns.fmt)
-    return 0 if verified else 2
+    return report, lines, 0 if verified else 2
 
 
-def cmd_abelianize(ns) -> int:
+def cmd_abelianize(ns) -> Result:
     (expr,) = _load_exprs(ns, 1)
     v = word_expr.eta(expr)
     if ns.target == "H":
-        report = {"command": "abelianize", "target": "H", "image": str(v)}
+        report = {"target": "H", "image": str(v)}
         lines = [f"image in the full product group: {v}"]
     elif ns.target == "HA":
         rep = specker.ha_canonical_rep(v)
         report = {
-            "command": "abelianize",
             "target": "HA",
             "eta": str(v),
             "coset_rep": str(rep),
@@ -233,7 +208,6 @@ def cmd_abelianize(ns) -> int:
     else:
         verdict, (odd, even) = specker.griffiths_image(v)
         report = {
-            "command": "abelianize",
             "target": "griffiths",
             "image": verdict,
             "odd_part": str(odd),
@@ -243,19 +217,17 @@ def cmd_abelianize(ns) -> int:
             f"image: {verdict}",
             f"odd/even splitting certificate: {odd} + {even}",
         ]
-    report["config"] = _config_echo(ns)
-    _emit(report, lines, ns.fmt)
-    return 0
+    return report, lines, 0
 
 
-def cmd_james(ns) -> int:
+def cmd_james(ns) -> Result:
     m = _read(ns.model, "model", lambda fh: james_monoid.parse_model(fh.read()), (OSError, james_monoid.ModelError))
     if len(m.points) > james_monoid.MAX_POINTS:
         raise InputError(f"model has {len(m.points)} points, bound is {james_monoid.MAX_POINTS}")
     n = ns.n
     if ns.check in ("nbhd", "saturation") and not 1 <= n <= james_monoid.MAX_N:
         raise InputError(f"neighbourhood sweeps are bounded to n <= {james_monoid.MAX_N}")
-    report = {"command": "james", "check": ns.check, "n": n}
+    report = {"check": ns.check, "n": n}
     if ns.check == "fibers":
         rows = report["rows"] = james_monoid.fiber_rows(m, n)
         failed = not all(r["ok"] for r in rows)
@@ -284,59 +256,54 @@ def cmd_james(ns) -> int:
             f"stage T1: {rep.stage_t1} (model T1: {rep.model_t1})",
             f"basepoint closed: {rep.base_closed}; stage closed in next: {rep.closed_in_next}",
         ]
-    report["config"] = _config_echo(ns)
-    _emit(report, lines, ns.fmt)
-    return 2 if failed else 0
+    return report, lines, 2 if failed else 0
 
 
-def cmd_orders(ns) -> int:
-    if ns.action == "theta":
-        if ns.m >= 1 << MAX_THETA_BITS:
-            raise InputError(f"m must be below 2^{MAX_THETA_BITS}, got a number of {ns.m.bit_length()} bits")
-        c = orders.theta(ns.m)
-        report = {
-            "command": "orders",
-            "action": "theta",
-            "m": ns.m,
-            "level": c.level,
-            "slot": c.slot,
-            "lo": str(c.lo),
-            "hi": str(c.hi),
-        }
-        lines = [str(c)]
-    elif ns.action == "compare":
-        r = orders.compare(ns.m, ns.m2)
-        word = {-1: "less", 0: "equal", 1: "greater"}[r]
-        report = {"command": "orders", "action": "compare", "m1": ns.m, "m2": ns.m2, "result": word}
-        lines = [f"component {ns.m} is {word} than component {ns.m2}"]
-    else:
-        spec = orders.order_spec(ns.order)
-        if ns.count > MAX_EMBED_COUNT:
-            raise InputError(f"--count must be at most {MAX_EMBED_COUNT}, got {ns.count}")
-        emb = orders.back_and_forth_embed(spec)
-        count = ns.count if spec.size is None else min(ns.count, spec.size)
-        rows = []
-        lines = []
-        for i in range(1, count + 1):
-            c = emb(i)
-            rows.append({"i": i, "m": orders.theta_inv(c), "component": str(c)})
-            lines.append(f"{i} -> {c}")
-        report = {"command": "orders", "action": "embed", "order": ns.order, "rows": rows}
-    report["config"] = _config_echo(ns)
-    _emit(report, lines, ns.fmt)
-    return 0
+def cmd_theta(ns) -> Result:
+    if ns.m >= 1 << MAX_THETA_BITS:
+        raise InputError(f"m must be below 2^{MAX_THETA_BITS}, got a number of {ns.m.bit_length()} bits")
+    c = orders.theta(ns.m)
+    report = {
+        "action": "theta",
+        "m": ns.m,
+        "level": c.level,
+        "slot": c.slot,
+        "lo": str(c.lo),
+        "hi": str(c.hi),
+    }
+    return report, [str(c)], 0
 
 
-def cmd_wedge(ns) -> int:
+def cmd_compare(ns) -> Result:
+    r = orders.compare(ns.m, ns.m2)
+    word = {-1: "less", 0: "equal", 1: "greater"}[r]
+    report = {"action": "compare", "m1": ns.m, "m2": ns.m2, "result": word}
+    return report, [f"component {ns.m} is {word} than component {ns.m2}"], 0
+
+
+def cmd_embed(ns) -> Result:
+    spec = orders.order_spec(ns.order)
+    if ns.count > MAX_EMBED_COUNT:
+        raise InputError(f"--count must be at most {MAX_EMBED_COUNT}, got {ns.count}")
+    emb = orders.back_and_forth_embed(spec)
+    count = ns.count if spec.size is None else min(ns.count, spec.size)
+    rows = []
+    lines = []
+    for i in range(1, count + 1):
+        c = emb(i)
+        rows.append({"i": i, "m": orders.theta_inv(c), "component": str(c)})
+        lines.append(f"{i} -> {c}")
+    return {"action": "embed", "order": ns.order, "rows": rows}, lines, 0
+
+
+def cmd_wedge(ns) -> Result:
     (expr,) = _load_exprs(ns, 1)
     pres = _read(ns.presentations, "presentations", lambda fh: specker.presentations_from_json(json.load(fh)),
                  (OSError, RecursionError, ValueError))
     rows = specker.wedge_images(word_expr.eta(expr), pres, ns.blocks)
     lines = [f"block {r['block']}: H1 rank {r['free_rank']}, torsion {r['torsion'] or 'none'}, image {r['image']}"
              for r in rows]
-    report = {"command": "wedge", "blocks": rows, "config": _config_echo(ns)}
-    _emit(report, lines, ns.fmt)
-    return 0
+    return {"blocks": rows}, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     q = order_sub.add_parser("theta")
     q.add_argument("m", type=int, help=f"component number, 1 <= m < 2^{MAX_THETA_BITS}")
     _add_common(q)
-    q.set_defaults(func=cmd_orders, action="theta")
+    q.set_defaults(func=cmd_theta)
     q = order_sub.add_parser("compare")
     q.add_argument("m", type=int)
     q.add_argument("m2", type=int)
     _add_common(q)
-    q.set_defaults(func=cmd_orders, action="compare")
+    q.set_defaults(func=cmd_compare)
     q = order_sub.add_parser("embed")
     q.add_argument("order")
     q.add_argument("--count", type=int, default=10, help=f"indices to embed, at most {MAX_EMBED_COUNT}")
     _add_common(q)
-    q.set_defaults(func=cmd_orders, action="embed")
+    q.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("wedge", help="per-block homology images for a shrinking wedge")
     _add_expr_args(p)
@@ -427,7 +394,13 @@ def main(argv=None) -> int:
         for flag in ("depth", "blocks", "count"):  # blocks and count belong to some subcommands only
             if getattr(ns, flag, 0) < 0:
                 raise InputError(f"--{flag} must be non-negative, got {getattr(ns, flag)}")
-        return ns.func(ns)
+        report, lines, code = ns.func(ns)
+        report.update(command=ns.command, config={"depth": ns.depth, "seed": ns.seed, "budget": ns.budget})
+        if ns.fmt == "json":
+            sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        else:
+            sys.stdout.write("\n".join(lines) + "\n")
+        return code
     except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

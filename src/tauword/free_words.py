@@ -194,11 +194,6 @@ def commutator_decompose(w: ReducedWord) -> list[tuple[ReducedWord, ReducedWord]
     return pairs
 
 
-def reassemble(pairs: Sequence[tuple[ReducedWord, ReducedWord]]) -> ReducedWord:
-    """Multiply out a commutator decomposition (the round-trip oracle)."""
-    return concat_all([commutator(a, b) for a, b in pairs])
-
-
 def render_word(w: ReducedWord) -> str:
     """Plain-text syntax: ``l1 l2^-1 l3^2``; the identity renders as ``1``."""
     if w.is_identity:

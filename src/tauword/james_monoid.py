@@ -154,18 +154,6 @@ def render_model(m: FiniteSpaceModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def q_tuple(m: FiniteSpaceModel, t: Sequence[str]) -> Word:
-    """Drop basepoint entries, preserving order."""
-    for x in t:
-        if x not in m.points:
-            raise ModelError(f"tuple entry {x!r} is not a model point")
-    return tuple(x for x in t if x != m.base)
-
-
-def concat_words(a: Word, b: Word) -> Word:
-    return tuple(a) + tuple(b)
-
-
 def words_up_to(m: FiniteSpaceModel, n: int) -> list[Word]:
     letters = m.letters()
     out: list[Word] = []

@@ -240,17 +240,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    if len(a[0]) != len(b):
-        raise ValueError(f"cannot multiply a {len(a)}x{len(a[0])} by a {len(b)}x{len(b[0])} matrix")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def det(m: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

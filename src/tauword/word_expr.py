@@ -294,16 +294,30 @@ def _letters(e: WordExpr) -> Iterator[Syllable]:
 
 def instantiate(body: WordExpr, j: int, scale: int = 0) -> WordExpr:
     """Instance j of a template body, whose symbolic leaves become the letters base + coef*j;
-    with a nonzero scale, the body whose instance u is instance j + scale*u of this one."""
+    with a nonzero scale, the body whose instance u is instance j + scale*u of this one.
+
+    A body nested deeper than ``MAX_NESTING`` raises ``ValidationError`` with the
+    report of ``validate`` on it as a template body, rooted at ``body``."""
+    try:
+        return _instantiate(body, j, scale, 0)
+    except ValidationError:  # only raised past MAX_NESTING, where the walk has no path
+        report: list[str] = []
+        _validate(body, "body", report, in_body=True, in_finite=True, level=0)
+        raise ValidationError(report) from None
+
+
+def _instantiate(body: WordExpr, j: int, scale: int, level: int) -> WordExpr:
+    if level > MAX_NESTING:
+        raise ValidationError([])
     if isinstance(body, SymLetter):
         base = body.base + body.coef * j
         return SymLetter(base, body.coef * scale, body.exp) if scale else Letter(base, body.exp)
     if isinstance(body, Letter):
         return body
     if isinstance(body, Concat):
-        return Concat(tuple(instantiate(f, j, scale) for f in body.factors))
+        return Concat(tuple(_instantiate(f, j, scale, level + 1) for f in body.factors))
     if isinstance(body, Inverse):
-        return Inverse(instantiate(body.of, j, scale))
+        return Inverse(_instantiate(body.of, j, scale, level + 1))
     raise TypeError(f"cannot instantiate {type(body).__name__}")
 
 
@@ -552,13 +566,19 @@ def commutator_factorization(e: WordExpr, depth: int = 12) -> SeqSpec:
     return _factorization(e, depth)[0]
 
 
-def factor(e: WordExpr, depth: int = 12) -> tuple[SeqSpec, bool]:
-    """The commutator factorization of e, and whether its projections agree with e's up to depth.
+def factor(e: WordExpr, depth: int = 12) -> tuple[tuple[WordExpr, ...], bool]:
+    """The commutator stages of e, and whether their product's projections agree with e's up to depth.
 
-    The input is projected once; an input already in factored form is its own factorization.
+    The input is projected once; an input already in factored form is its own
+    factorization, and its stages are its factors.  With a template tail these
+    are factors 1..max(prefix length, depth): stage n has letters >= n only, so
+    they multiply to e's projection at every level up to depth.
     """
     spec, top = _factorization(e, depth)
-    return spec, top is None or _project(OmegaProd(spec), depth) == top
+    stages = spec.prefix
+    if not isinstance(spec.tail, Trivial):
+        stages = tuple(factor_at(spec, i) for i in range(1, max(len(stages), depth) + 1))
+    return stages, top is None or _project(OmegaProd(spec), depth) == top
 
 
 def _factorization(e: WordExpr, depth: int) -> tuple[SeqSpec, ReducedWord | None]:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from tauword import free_words as fw
 from tauword import rearrange as ra
 from tauword import word_expr as we
-from tauword.james_monoid import FiniteSpaceModel, Tuple_, Word, q_tuple
+from tauword.james_monoid import FiniteSpaceModel, ModelError, Tuple_, Word
 from tauword.orders import (
     _CEILING,
     CantorComponent,
@@ -292,6 +292,11 @@ def too_deep_path(head: str, step: str) -> str:
     return head + step * (we.MAX_NESTING + 1 - head_level)
 
 
+def reassemble(pairs: Sequence[tuple[fw.ReducedWord, fw.ReducedWord]]) -> fw.ReducedWord:
+    """Multiply out a commutator decomposition (the round-trip oracle)."""
+    return fw.concat_all([fw.commutator(a, b) for a, b in pairs])
+
+
 def commutator_decompose_by_sorting(w: fw.ReducedWord) -> list[tuple[fw.ReducedWord, fw.ReducedWord]]:
     """Reference for ``commutator_decompose``: write w as an explicit product
     of commutators by insertion-sorting its syllables.
@@ -345,6 +350,18 @@ class SpecMismatchError(ValueError):
 
 class EmptyFiberError(ValueError):
     """Requested ambient length is shorter than the word."""
+
+
+def q_tuple(m: FiniteSpaceModel, t: Sequence[str]) -> Word:
+    """Drop basepoint entries, preserving order."""
+    for x in t:
+        if x not in m.points:
+            raise ModelError(f"tuple entry {x!r} is not a model point")
+    return tuple(x for x in t if x != m.base)
+
+
+def concat_words(a: Word, b: Word) -> Word:
+    return tuple(a) + tuple(b)
 
 
 def fiber(m: FiniteSpaceModel, w: Word, n: int) -> set[Tuple_]:
@@ -408,6 +425,17 @@ def check_saturated(m: FiniteSpaceModel, tuples, n: int) -> bool:
     for w in image:
         preimage.update(fiber(m, w, n))
     return preimage == tuples
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    if not a or not b:
+        return []
+    if len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply a {len(a)}x{len(a[0])} by a {len(b)}x{len(b[0])} matrix")
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 def _scaled_keys(ms: Sequence[int]) -> list[int]:

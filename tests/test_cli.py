@@ -799,13 +799,18 @@ def shuffle_report_by_levels(expr, phi, depth: int) -> str:
 
 
 def factor_report_by_levels(expr, depth: int) -> str:
-    """The factor JSON report with the projections compared at every level."""
+    """The factor JSON report with the projections compared at every level.
+
+    The stages are the factors of the factorization: its prefix, and for a template
+    tail factors 1..max(prefix length, depth), so they multiply out at every level."""
     spec = we.commutator_factorization(expr, depth)
     verified = equal_up_to_by_levels(we.OmegaProd(spec), expr, depth).equal
+    count = len(spec.prefix) if isinstance(spec.tail, we.Trivial) else max(len(spec.prefix), depth)
+    stages = [we.factor_at(spec, i) for i in range(1, count + 1)]
     return _canonical({
         "command": "factor",
         "depth": depth,
-        "stages": [{"stage": i, "word": str(we.project(stage, 10**9))} for i, stage in enumerate(spec.prefix, start=1)],
+        "stages": [{"stage": i, "word": str(we.project(stage, 10**9))} for i, stage in enumerate(stages, start=1)],
         "projections_match": verified,
         "config": _config(depth),
     })
@@ -877,17 +882,26 @@ def test_parser_built_once_without_state_leaking_between_calls(tmp_path, capsys)
 
 
 GOLDEN = Path(__file__).parent / "data"
-GOLDEN_REPORTS = {
-    "wedge_circle": [
+GOLDEN_REPORTS = {  # name: (argv, exit code); the report is tests/data/golden_<name>.txt or .json
+    "project_tau": (["project", "--builtin", "ell_tau", "--n", "3"], 0),
+    "eta_tau_squares": (["eta", "--expr", str(SAMPLES / "tau_squares.json")], 0),
+    "equal_same": (["equal", "--builtin", "ell_infinity", "--builtin", "ell_infinity", "--depth", "5"], 0),
+    "equal_different": (["equal", "--builtin", "ell_infinity", "--builtin", "ell_tau", "--depth", "2"], 2),
+    "h": (["abelianize", "--target", "H", "--builtin", "ell_tau", "--seed", "7"], 0),
+    "ha": (["abelianize", "--target", "HA", "--builtin", "ell_tau", "--seed", "7"], 0),
+    "griffiths": (["abelianize", "--target", "griffiths", "--builtin", "ell_infinity", "--seed", "7"], 0),
+    "wedge_circle": ([
         "wedge", "--presentations", str(SAMPLES / "circle_wedge.json"), "--expr", str(SAMPLES / "tau_squares.json"),
         "--blocks", "6",
-    ],
+    ], 0),
     **{
-        f"james_{check}": ["james", "--model", str(SAMPLES / "chain_model.txt"), "--check", check, "--n", "2"]
+        f"james_{check}": (["james", "--model", str(SAMPLES / "chain_model.txt"), "--check", check, "--n", "2"], 0)
         for check in ("fibers", "nbhd", "saturation", "topology")
     },
+    "theta": (["orders", "theta", "11"], 0),
+    "compare": (["orders", "compare", "6", "5"], 0),
     **{
-        f"embed_{name}": ["orders", "embed", order, "--count", "12"]
+        f"embed_{name}": (["orders", "embed", order, "--count", "12"], 0)
         for name, order in [
             ("omega", "omega"),
             ("omega_plus_omega", "omega+omega"),
@@ -896,16 +910,17 @@ GOLDEN_REPORTS = {
             ("chain5", "chain(5)"),
         ]
     },
-    "factor_commutators": ["factor", "--expr", str(SAMPLES / "commutators.json"), "--depth", "8"],
-    "shuffle_swap": [
+    "factor_commutators": (["factor", "--expr", str(SAMPLES / "commutators.json"), "--depth", "8"], 0),
+    "shuffle_swap": ([
         "shuffle", "--expr", str(SAMPLES / "tau_squares.json"), "--bijection", str(SAMPLES / "swap_first_two.json"),
         "--depth", "4",
-    ],
+    ], 0),
 }
 
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
 def test_report_matches_golden_file(capsys, name, fmt, suffix):
-    code, out, err = run(capsys, *GOLDEN_REPORTS[name], "--format", fmt)
-    assert (code, out, err) == (0, (GOLDEN / f"golden_{name}.{suffix}").read_text(), "")
+    argv, want = GOLDEN_REPORTS[name]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out, err) == (want, (GOLDEN / f"golden_{name}.{suffix}").read_text(), "")

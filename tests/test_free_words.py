@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from tauword import free_words as fw
 
-from conftest import commutator_decompose_by_sorting, make_rng, random_word, random_zero_sum_word
+from conftest import commutator_decompose_by_sorting, make_rng, random_word, random_zero_sum_word, reassemble
 
 syllable = st.tuples(st.integers(1, 8), st.integers(-4, 4))
 raw_words = st.lists(syllable, max_size=12)
@@ -96,11 +96,11 @@ def test_commutator_decompose_examples():
     c = fw.word((1, 1), (2, 1), (1, -1), (2, -1))
     pairs = fw.commutator_decompose(c)
     assert len(pairs) == 1
-    assert fw.reassemble(pairs) == c
+    assert reassemble(pairs) == c
     assert fw.commutator_decompose(fw.IDENTITY) == []
     w = fw.word((1, 1), (2, 1), (1, 1), (2, -1), (1, -2))
     pairs = fw.commutator_decompose(w)
-    assert fw.reassemble(pairs) == w
+    assert reassemble(pairs) == w
 
 
 def test_commutator_decompose_requires_zero_sums():
@@ -116,7 +116,7 @@ def test_commutator_decompose_round_trip_fuzzed():
         w = random_zero_sum_word(rng)
         assert w.syllable_count <= 20
         pairs = fw.commutator_decompose(w)
-        assert fw.reassemble(pairs) == w
+        assert reassemble(pairs) == w
         assert len(pairs) <= max(w.syllable_count, 1)
 
 
@@ -157,7 +157,7 @@ def test_commutator_decompose_peels_letters_in_order():
 def test_decompositions_reassemble_within_pair_bound(decompose):
     for w in peeling_words():
         pairs = decompose(w)
-        assert fw.reassemble(pairs) == w
+        assert reassemble(pairs) == w
         assert len(pairs) <= w.syllable_count
 
 

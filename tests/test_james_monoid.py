@@ -8,8 +8,10 @@ from conftest import (
     EmptyFiberError,
     SpecMismatchError,
     check_saturated,
+    concat_words,
     fiber,
     make_rng,
+    q_tuple,
     standard_nbhd,
 )
 
@@ -60,10 +62,10 @@ def test_model_text_round_trip():
 
 
 def test_q_and_concat_examples():
-    assert jm.q_tuple(DISCRETE3, ("a", "e", "b")) == ("a", "b")
-    assert jm.q_tuple(DISCRETE3, ("e", "e")) == ()
-    assert jm.concat_words(("a",), ("b", "a")) == ("a", "b", "a")
-    assert len(jm.concat_words(("a",), ("b", "a"))) == 3
+    assert q_tuple(DISCRETE3, ("a", "e", "b")) == ("a", "b")
+    assert q_tuple(DISCRETE3, ("e", "e")) == ()
+    assert concat_words(("a",), ("b", "a")) == ("a", "b", "a")
+    assert len(concat_words(("a",), ("b", "a"))) == 3
 
 
 def test_q_compatible_with_tuple_concatenation():
@@ -71,8 +73,8 @@ def test_q_compatible_with_tuple_concatenation():
     for _ in range(200):
         t1 = tuple(rng.choice(DISCRETE3.points) for _ in range(rng.randint(0, 4)))
         t2 = tuple(rng.choice(DISCRETE3.points) for _ in range(rng.randint(0, 4)))
-        assert jm.q_tuple(DISCRETE3, t1 + t2) == jm.concat_words(
-            jm.q_tuple(DISCRETE3, t1), jm.q_tuple(DISCRETE3, t2)
+        assert q_tuple(DISCRETE3, t1 + t2) == concat_words(
+            q_tuple(DISCRETE3, t1), q_tuple(DISCRETE3, t2)
         )
 
 
@@ -83,16 +85,16 @@ def test_q_compatible_with_basepoint_insertion():
         t = list(letters)
         for _ in range(rng.randint(0, 3)):
             t.insert(rng.randint(0, len(t)), "e")
-        assert jm.q_tuple(DISCRETE3, tuple(t)) == tuple(letters)
+        assert q_tuple(DISCRETE3, tuple(t)) == tuple(letters)
 
 
 def test_monoid_laws():
     rng = make_rng(602)
     words = [tuple(rng.choice("ab") for _ in range(rng.randint(0, 3))) for _ in range(60)]
     for a, b, c in zip(words, words[1:], words[2:]):
-        assert jm.concat_words(jm.concat_words(a, b), c) == jm.concat_words(a, jm.concat_words(b, c))
-        assert jm.concat_words(a, ()) == a
-        assert jm.concat_words((), a) == a
+        assert concat_words(concat_words(a, b), c) == concat_words(a, concat_words(b, c))
+        assert concat_words(a, ()) == a
+        assert concat_words((), a) == a
 
 
 def test_fiber_examples():
@@ -236,7 +238,7 @@ def min_open_tuplewise(m: jm.FiniteSpaceModel, w, n):
         lifted = set()
         for t in tuples:
             lifted |= set(itertools.product(*[m.up(x) for x in t]))
-        new_words = {jm.q_tuple(m, t) for t in lifted} | words
+        new_words = {q_tuple(m, t) for t in lifted} | words
         if new_words == words:
             return frozenset(words)
         words = new_words
@@ -281,10 +283,10 @@ def test_concatenation_monotone_for_specialization():
             mo_ab = jm.quotient_min_opens(m, n1 + n2)
             for a in jm.words_up_to(m, n1):
                 for b in jm.words_up_to(m, n2):
-                    target = mo_ab[jm.concat_words(a, b)]
+                    target = mo_ab[concat_words(a, b)]
                     for a2 in mo_a[a]:
                         for b2 in mo_b[b]:
-                            assert jm.concat_words(a2, b2) in target
+                            assert concat_words(a2, b2) in target
 
 
 def test_closed_in_next_iff_base_closed():

@@ -341,6 +341,17 @@ def test_factorization_already_factored():
         assert we.project(we.OmegaProd(we.commutator_factorization(e, 12)), n) == we.project(e, n)
 
 
+@pytest.mark.parametrize("depth", [1, 3, 8])
+@pytest.mark.parametrize("build", [we.commutator_product, we.flattened_commutator_product])
+def test_factor_stages_multiply_to_the_projection_at_every_level(build, depth):
+    # an already factored product with a template tail lists its tail factors as stages too
+    e = build()
+    stages, verified = we.factor(e, depth)
+    assert verified and len(stages) >= depth
+    for n in range(1, depth + 1):
+        assert we.project(we.Concat(stages), n) == we.project(e, n)
+
+
 def test_factorization_requires_zero_eta():
     with pytest.raises(we.HypothesisViolationError):
         we.commutator_factorization(we.ell_infinity(), 5)
@@ -525,6 +536,16 @@ def test_nesting_limit_holds_for_every_node_type(shape, head, step):
     assert we.validate(nesting_chain(shape, we.MAX_NESTING)) == []
     deep = nesting_chain(shape, we.MAX_NESTING + 1)
     assert we.validate(deep) == [f"{too_deep_path(head, step)}: nested deeper than {we.MAX_NESTING} levels"]
+
+
+@pytest.mark.parametrize("shape, step", [("concat", ".factors[0]"), ("inverse", ".of")])
+def test_instantiate_stops_at_the_nesting_limit(shape, step):
+    body = nesting_chain(shape, we.MAX_NESTING)
+    assert we.instantiate(body, 3) == body  # a chain of constant letters is its own instance
+    for levels in (we.MAX_NESTING + 1, 5000):
+        with pytest.raises(we.ValidationError) as info:
+            we.instantiate(nesting_chain(shape, levels), 3)
+        assert info.value.report == [f"body{step * (we.MAX_NESTING + 1)}: nested deeper than {we.MAX_NESTING} levels"]
 
 
 @pytest.mark.parametrize("shape, head, step", NESTING_CHAINS, ids=[c[0] for c in NESTING_CHAINS])
