@@ -48,10 +48,8 @@ class ReducedWord(Frozen):
     """
 
     _fields = ("syllables",)
+    _defaults = ((),)
     __slots__ = _fields
-
-    def __init__(self, syllables: tuple[Syllable, ...] = ()) -> None:
-        object.__setattr__(self, "syllables", syllables)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         return concat(self, other)

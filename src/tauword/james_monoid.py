@@ -41,18 +41,12 @@ MAX_FIBER_N = 8  # the power whose fibers are enumerated
 
 
 Word = tuple[str, ...]
-Tuple_ = tuple[str, ...]
 
 
 class FiniteSpaceModel(Frozen):
     """Finite poset with basepoint; opens are up-sets of the stored order."""
 
-    _fields = ("points", "base", "le")
-
-    def __init__(self, points: tuple[str, ...], base: str, le: frozenset[tuple[str, str]]) -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "le", le)  # reflexive-transitive order relation
+    _fields = ("points", "base", "le")  # le: the reflexive-transitive order, the pairs (x, y) with x <= y
 
     @cached_property
     def _ups(self) -> dict[str, frozenset[str]]:
@@ -226,26 +220,6 @@ def stage_closed_in_next(m: FiniteSpaceModel, n: int) -> bool:
 class TopologyReport(Frozen):
     _fields = ("n", "agree", "stable", "certificate", "stage_t1", "base_closed", "model_t1", "closed_in_next")
 
-    def __init__(
-        self,
-        n: int,
-        agree: bool,
-        stable: bool,
-        certificate: tuple[Word, frozenset[Word], frozenset[Word]] | None,
-        stage_t1: bool,
-        base_closed: bool,
-        model_t1: bool,
-        closed_in_next: bool,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "agree", agree)
-        object.__setattr__(self, "stable", stable)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "stage_t1", stage_t1)
-        object.__setattr__(self, "base_closed", base_closed)
-        object.__setattr__(self, "model_t1", model_t1)
-        object.__setattr__(self, "closed_in_next", closed_in_next)
-
 
 def topologies_agree(m: FiniteSpaceModel, n: int) -> TopologyReport:
     """Compare the quotient topology on the length-n stage with the subspace
@@ -259,6 +233,8 @@ def topologies_agree(m: FiniteSpaceModel, n: int) -> TopologyReport:
         raise SizeBoundError(
             f"bounds exceeded: {len(m.points)} points (max {MAX_POINTS}), n={n} (max {MAX_N})"
         )
+    if n < 0:
+        raise SizeBoundError(f"the topology check needs n >= 0, got n={n}")
     stage = set(words_up_to(m, n))
     quotient = quotient_min_opens(m, n)
     agree = True
@@ -341,27 +317,10 @@ def canonical_key(m: FiniteSpaceModel):
 
 
 class Stage(Frozen):
-    """The length-<=n stage of one model as bitmasks: tuple i of the n-th power is bit i."""
+    """The length-<=n stage of one model as bitmasks: tuple i of the n-th power is bit i,
+    and slot_masks[slot][open] holds the tuples with that slot in that open."""
 
     _fields = ("model", "n", "opens", "base_opens", "tuples", "fiber_mask", "slot_masks")
-
-    def __init__(
-        self,
-        model: FiniteSpaceModel,
-        n: int,
-        opens: list[frozenset[str]],
-        base_opens: list[frozenset[str]],
-        tuples: list[Tuple_],
-        fiber_mask: dict[Word, int],
-        slot_masks: list[dict[frozenset[str], int]],  # slot -> open -> tuples with that slot in it
-    ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "opens", opens)
-        object.__setattr__(self, "base_opens", base_opens)
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "fiber_mask", fiber_mask)
-        object.__setattr__(self, "slot_masks", slot_masks)
 
 
 def stage_tables(m: FiniteSpaceModel, n: int) -> Stage:

@@ -36,10 +36,6 @@ class CantorComponent(Frozen):
     _fields = ("level", "slot")
     __slots__ = _fields
 
-    def __init__(self, level: int, slot: int) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "slot", slot)
-
     @property
     def lo(self) -> Fraction:
         return Fraction(3 * self._parent_left() + 1, 3**self.level)

@@ -33,11 +33,6 @@ class EventualStructure(Frozen):
 
     _fields = ("bound", "period", "offsets")
 
-    def __init__(self, bound: int, period: int, offsets: tuple[int, ...]) -> None:
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "offsets", offsets)
-
     def offset_at(self, k: int) -> int:
         return self.offsets[(k - 1) % self.period]
 
@@ -153,9 +148,6 @@ class Compose(BijectionSpec):
     """Composition, evaluated right to left: Compose([f, g])(k) = f(g(k))."""
 
     _fields = ("parts",)
-
-    def __init__(self, parts: tuple[BijectionSpec, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
 
     def evaluate(self, k: int) -> int:
         for part in reversed(self.parts):

@@ -51,39 +51,27 @@ class WordExpr(Frozen):
 
 class Letter(WordExpr):
     _fields = ("index", "exp")
+    _defaults = (1,)
     __slots__ = _fields
-
-    def __init__(self, index: int, exp: int = 1) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "exp", exp)
 
 
 class SymLetter(WordExpr):
     """Template leaf: instance j is the letter base + coef*j."""
 
     _fields = ("base", "coef", "exp")
+    _defaults = (1,)
     __slots__ = _fields
-
-    def __init__(self, base: int, coef: int, exp: int = 1) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "exp", exp)
 
 
 class Concat(WordExpr):
     _fields = ("factors",)
+    _defaults = ((),)
     __slots__ = _fields
-
-    def __init__(self, factors: tuple[WordExpr, ...] = ()) -> None:
-        object.__setattr__(self, "factors", factors)
 
 
 class Inverse(WordExpr):
     _fields = ("of",)
     __slots__ = _fields
-
-    def __init__(self, of: WordExpr) -> None:
-        object.__setattr__(self, "of", of)
 
 
 class Trivial(Frozen):
@@ -96,9 +84,6 @@ class Template(Frozen):
     _fields = ("bodies",)
     __slots__ = _fields
 
-    def __init__(self, bodies: tuple[WordExpr, ...]) -> None:
-        object.__setattr__(self, "bodies", bodies)
-
 
 TailRule = Trivial | Template
 
@@ -107,25 +92,22 @@ class SeqSpec(Frozen):
     _fields = ("prefix", "tail")
     __slots__ = _fields
 
-    def __init__(self, prefix: tuple[WordExpr, ...], tail: TailRule) -> None:
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
 
+class Product(WordExpr):
+    """The infinite product of spec's factors, read in the order its subclass's kind names."""
 
-class OmegaProd(WordExpr):
     _fields = ("spec",)
     __slots__ = _fields
 
-    def __init__(self, spec: SeqSpec) -> None:
-        object.__setattr__(self, "spec", spec)
+
+class OmegaProd(Product):
+    __slots__ = ()
+    kind = "omega"
 
 
-class TauProd(WordExpr):
-    _fields = ("spec",)
-    __slots__ = _fields
-
-    def __init__(self, spec: SeqSpec) -> None:
-        object.__setattr__(self, "spec", spec)
+class TauProd(Product):
+    __slots__ = ()
+    kind = "tau"
 
 
 def identity_expr() -> Concat:
@@ -193,7 +175,7 @@ def _validate(e: WordExpr, path: str, report: list[str], in_body: bool, in_finit
             _validate(f, f"{path}.factors[{i}]", report, in_body, in_finite, level + 1)
     elif isinstance(e, Inverse):
         _validate(e.of, f"{path}.of", report, in_body, in_finite, level + 1)
-    elif isinstance(e, (OmegaProd, TauProd)):
+    elif isinstance(e, Product):
         if in_body or in_finite:
             report.append(f"{path}: nested infinite product")
             return
@@ -399,7 +381,7 @@ def _project(e: WordExpr, n: int) -> ReducedWord:
     """Each product is read as its contributing factors in product order, in one walk; one reduction."""
     syllables: list[Syllable] = []
     for node, sign in _leaves(e):
-        if isinstance(node, (OmegaProd, TauProd)):
+        if isinstance(node, Product):
             factors = contributing_factors(node.spec, n)
             key = orders.position_key if isinstance(node, TauProd) else None
             node = Concat(tuple(factors[m] for m in sorted(factors, key=key)))
@@ -421,7 +403,7 @@ def _eta(e: WordExpr) -> SpeckerVector:
     consts: dict[int, int] = {}
     aps: list[tuple[int, int, int]] = []
     for node, sign in _leaves(e):
-        if isinstance(node, (OmegaProd, TauProd)):  # its prefix factors and symbolic tail bodies
+        if isinstance(node, Product):  # its prefix factors and symbolic tail bodies
             tail = node.spec.tail
             node = Concat(node.spec.prefix + (tail.bodies if isinstance(tail, Template) else ()))
         for leaf, s in _leaves(node):
@@ -450,19 +432,8 @@ def _eta(e: WordExpr) -> SpeckerVector:
 
 class EqualityResult(Frozen):
     _fields = ("equal", "witness_level", "left", "right")
+    _defaults = (None, None, None)
     __slots__ = _fields
-
-    def __init__(
-        self,
-        equal: bool,
-        witness_level: int | None = None,
-        left: ReducedWord | None = None,
-        right: ReducedWord | None = None,
-    ) -> None:
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "witness_level", witness_level)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
     def __bool__(self) -> bool:
         return self.equal
@@ -512,12 +483,11 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
     or composition); the rearranged tail is represented by refining the
     bodies into lcm(period, body count) interleaved bodies.
     """
-    if not isinstance(p, (OmegaProd, TauProd)):
+    if not isinstance(p, Product):
         raise TypeError("rearrangement applies to infinite products")
     ensure_valid(p)
     spec = p.spec
     r = len(spec.prefix)
-    make = OmegaProd if isinstance(p, OmegaProd) else TauProd
 
     if isinstance(spec.tail, Trivial):
         inverse = phi.inverse()
@@ -525,7 +495,7 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
         if not is_bijection(phi, phi.preserving_bound(max(cut, r, 8))):
             raise ClosureError("bijection check failed on the essential range")
         new_prefix = tuple(factor_at(spec, phi.evaluate(k)) for k in range(1, cut + 1))
-        return make(SeqSpec(new_prefix, Trivial()))
+        return type(p)(SeqSpec(new_prefix, Trivial()))
 
     if not hasattr(phi, "eventual_structure"):
         raise ClosureError(
@@ -544,7 +514,7 @@ def apply_bijection(p: WordExpr, phi) -> WordExpr:
     for t0 in range(big):
         s0 = t0 + cut + st.offsets[t0 % st.period] - r  # >= 1, since cut > low >= r - min(st.offsets)
         new_bodies.append(instantiate(bodies[s0 % q_count], s0 // q_count, big // q_count))
-    return make(SeqSpec(new_prefix, Template(tuple(new_bodies))))
+    return type(p)(SeqSpec(new_prefix, Template(tuple(new_bodies))))
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +630,7 @@ def to_json(e: WordExpr) -> dict:
             return {"type": "concat", "factors": [encode(f, level + 1) for f in node.factors]}
         if isinstance(node, Inverse):
             return {"type": "inverse", "of": encode(node.of, level + 1)}
-        if isinstance(node, (OmegaProd, TauProd)):
-            kind = "omega" if isinstance(node, OmegaProd) else "tau"
+        if isinstance(node, Product):
             if isinstance(node.spec.tail, Trivial):
                 tail: dict = {"kind": "trivial"}
             elif len(node.spec.tail.bodies) == 1:
@@ -672,7 +641,7 @@ def to_json(e: WordExpr) -> dict:
                     "bodies": [encode(b, level + 1) for b in node.spec.tail.bodies],
                 }
             return {
-                "type": kind,
+                "type": node.kind,
                 "prefix": [encode(f, level + 1) for f in node.spec.prefix],
                 "tail": tail,
             }
@@ -708,7 +677,8 @@ def _decode(obj, path: str, level: int) -> WordExpr:
             return Concat(_decode_all(node["factors"], f"{path}.factors", level + 1))
         if kind == "inverse":
             return Inverse(_decode(node["of"], f"{path}.of", level + 1))
-        if kind in ("omega", "tau"):
+        product = next((cls for cls in (OmegaProd, TauProd) if cls.kind == kind), None)
+        if product is not None:
             tail_path = f"{path}.tail"
             tail_obj = _json_object(node["tail"], tail_path)
             if "kind" not in tail_obj:
@@ -725,7 +695,7 @@ def _decode(obj, path: str, level: int) -> WordExpr:
             else:
                 raise ValidationError([f"{tail_path}: unknown tail kind {tail_obj['kind']!r}"])
             spec = SeqSpec(_decode_all(node["prefix"], f"{path}.prefix", level + 1), tail)
-            return OmegaProd(spec) if kind == "omega" else TauProd(spec)
+            return product(spec)
     except KeyError as exc:  # a required field of this node; nested nodes raise ValidationError
         raise ValidationError([f"{path}: missing field {exc.args[0]!r}"]) from None
     raise ValidationError([f"{path}: unknown expression type {kind!r}"])

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from tauword import free_words as fw
 from tauword import rearrange as ra
 from tauword import word_expr as we
-from tauword.james_monoid import FiniteSpaceModel, ModelError, Tuple_, Word
+from tauword.james_monoid import FiniteSpaceModel, ModelError, Word
 from tauword.orders import (
     _CEILING,
     CantorComponent,
@@ -30,6 +30,8 @@ from tauword.orders import (
     theta,
     theta_inv,
 )
+
+Tuple_ = tuple[str, ...]  # a point of the n-th power of a model
 
 
 def make_rng(seed: int) -> random.Random:

@@ -224,6 +224,12 @@ def test_james_bounds(model_file, capsys):
     assert (code, out, err) == (1, "", "error: bounds exceeded: 3 points (max 4), n=5 (max 3)\n")
 
 
+@pytest.mark.parametrize("n", [-1, -7])
+def test_james_topology_rejects_a_negative_n(model_file, capsys, n):
+    code, out, err = run(capsys, "james", "--model", model_file, "--check", "topology", "--n", str(n))
+    assert (code, out, err) == (1, "", f"error: the topology check needs n >= 0, got n={n}\n")
+
+
 def nbhd_rows_by_oracle(m: jm.FiniteSpaceModel, n: int) -> list[dict]:
     """The ``james --check nbhd`` rows, built from the set-based oracles."""
     opens = m.opens()

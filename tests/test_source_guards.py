@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -71,7 +72,7 @@ HAND_WRITTEN_REPR = {
 
 
 def test_every_value_class_is_listed():
-    bases = {we.WordExpr, ra.BijectionSpec}
+    bases = {we.WordExpr, we.Product, ra.BijectionSpec}
     defined = {
         v for mod in (fw, jm, orders, ra, specker, we) for v in vars(mod).values()
         if isinstance(v, type) and issubclass(v, Frozen) and v.__module__ == mod.__name__
@@ -114,3 +115,40 @@ def test_value_class_defaults():
     assert we.Concat() == we.Concat(factors=())
     assert fw.ReducedWord() == fw.IDENTITY == fw.ReducedWord(syllables=())
     assert we.EqualityResult(True) == we.EqualityResult(equal=True, witness_level=None, left=None, right=None)
+
+
+# the constructor defaults each class had when it wrote its own __init__
+DEFAULTS = {
+    fw.ReducedWord: {"syllables": ()},
+    we.Letter: {"exp": 1},
+    we.SymLetter: {"exp": 1},
+    we.Concat: {"factors": ()},
+    we.EqualityResult: {"witness_level": None, "left": None, "right": None},
+}
+
+
+@pytest.mark.parametrize("cls, kwargs", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+def test_constructor_takes_the_fields_in_order(cls, kwargs):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+    assert cls(*kwargs.values()) == cls(**kwargs)
+    for name in kwargs.keys() - defaults.keys():
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in kwargs.items() if k != name})
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), None)
+    with pytest.raises(TypeError):
+        cls(**kwargs, unknown=None)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [("a b",), ("x=0",), ("x):\n    pass\ndef f(y",), (1,), ("class",), ("a", "a"), ("self",)],
+    ids=["space", "default", "injected", "not_str", "keyword", "repeated", "self"],
+)
+def test_fields_that_cannot_be_parameters_fail_at_class_creation(fields):
+    with pytest.raises(TypeError):
+        type("Bad", (Frozen,), {"_fields": fields, "__slots__": ()})
