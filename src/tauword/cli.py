@@ -37,6 +37,14 @@ MAX_EMBED_COUNT = 4000
 # Component m lies on level m.bit_length(), and its endpoints have the denominator 3^level:
 # 3^9012 is the largest such power within Python's 4300-digit int-to-str limit.
 MAX_THETA_BITS = 9012
+# Upper bounds on project's --n, on --depth and on --blocks, each sized by the slowest
+# subcommand that takes the flag (single runs on a 2-vCPU VM, Python 3.11).
+# project(ell_tau, 2^18) takes about 1.7 s.
+MAX_LEVEL = 1 << 18
+# shuffle's projection tower is quadratic in --depth: about 1 s and a 6 MB report at 1000.
+MAX_DEPTH = 1000
+# wedge is quadratic in --blocks: 1000 blocks of samples/circle_wedge.json take 0.1 s.
+MAX_BLOCKS = 1000
 
 # What a subcommand returns to main: its report, its text lines and its exit code.
 Result = tuple[dict, list[str], int]
@@ -57,7 +65,7 @@ def _add_expr_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=12, help="truncation depth (default 12)")
+    p.add_argument("--depth", type=int, default=12, help=f"truncation depth, at most {MAX_DEPTH} (default 12)")
     p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
     p.add_argument("--budget", type=int, default=200, help="fuzz budget echoed into reports")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
@@ -98,6 +106,8 @@ def _load_exprs(ns, want: int) -> list[word_expr.WordExpr]:
 
 
 def cmd_project(ns) -> Result:
+    if ns.n > MAX_LEVEL:
+        raise InputError(f"--n must be at most {MAX_LEVEL}, got {ns.n}")
     (expr,) = _load_exprs(ns, 1)
     w = word_expr.project(expr, ns.n)
     return {"n": ns.n, "word": str(w)}, [str(w)], 0
@@ -225,8 +235,6 @@ def cmd_james(ns) -> Result:
     if len(m.points) > james_monoid.MAX_POINTS:
         raise InputError(f"model has {len(m.points)} points, bound is {james_monoid.MAX_POINTS}")
     n = ns.n
-    if ns.check in ("nbhd", "saturation") and not 1 <= n <= james_monoid.MAX_N:
-        raise InputError(f"neighbourhood sweeps are bounded to n <= {james_monoid.MAX_N}")
     report = {"check": ns.check, "n": n}
     if ns.check == "fibers":
         rows = report["rows"] = james_monoid.fiber_rows(m, n)
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project an expression into the free group on l1..ln")
     _add_expr_args(p)
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"projection level, 1 <= n <= {MAX_LEVEL}")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("eta", help="letter-count vector of an expression")
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_expr_args(p)
     _add_common(p)
     p.add_argument("--presentations", required=True, metavar="FILE")
-    p.add_argument("--blocks", type=int, default=12)
+    p.add_argument("--blocks", type=int, default=12, help=f"blocks to report, at most {MAX_BLOCKS} (default 12)")
     p.set_defaults(func=cmd_wedge)
 
     return parser
@@ -394,6 +402,9 @@ def main(argv=None) -> int:
         for flag in ("depth", "blocks", "count"):  # blocks and count belong to some subcommands only
             if getattr(ns, flag, 0) < 0:
                 raise InputError(f"--{flag} must be non-negative, got {getattr(ns, flag)}")
+        for flag, bound in (("depth", MAX_DEPTH), ("blocks", MAX_BLOCKS)):
+            if getattr(ns, flag, 0) > bound:
+                raise InputError(f"--{flag} must be at most {bound}, got {getattr(ns, flag)}")
         report, lines, code = ns.func(ns)
         report.update(command=ns.command, config={"depth": ns.depth, "seed": ns.seed, "budget": ns.budget})
         if ns.fmt == "json":

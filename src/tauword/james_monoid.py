@@ -40,6 +40,14 @@ MAX_N = 3  # the stage of the neighbourhood, saturation and topology checks
 MAX_FIBER_N = 8  # the power whose fibers are enumerated
 
 
+def _check_sweep_n(n: int) -> None:
+    """The stages a neighbourhood or saturation sweep covers: 1 <= n <= MAX_N."""
+    if n < 1:
+        raise SizeBoundError(f"neighbourhood sweeps need n >= 1, got n={n}")
+    if n > MAX_N:
+        raise SizeBoundError(f"neighbourhood sweeps are bounded to n <= {MAX_N}")
+
+
 Word = tuple[str, ...]
 
 
@@ -400,8 +408,9 @@ def sweep_standard_nbhds(m: FiniteSpaceModel, n: int) -> tuple[int, int]:
     """Check saturation of every standard neighbourhood at ambient length n.
 
     Returns (number checked, number saturated), summed by ``word_nbhd_stats``
-    over every word of length <= n on one stage.
+    over every word of length <= n on one stage (1 <= n <= MAX_N).
     """
+    _check_sweep_n(n)
     tables = stage_tables(m, n)
     stats = [word_nbhd_stats(tables, w) for w in words_up_to(m, n)]
     return sum(s["specs"] for s in stats), sum(s["saturated"] for s in stats)
@@ -417,8 +426,10 @@ def expected_fiber_count(n: int, length: int) -> int:
 
 
 def fiber_rows(m: FiniteSpaceModel, n: int) -> list[dict]:
-    """Fiber size of each reduced word over the n-th power (n <= MAX_FIBER_N), and the expected C(n, length)."""
-    if not 0 <= n <= MAX_FIBER_N:
+    """Fiber size of each reduced word over the n-th power (0 <= n <= MAX_FIBER_N), and the expected C(n, length)."""
+    if n < 0:
+        raise SizeBoundError(f"fiber enumeration needs n >= 0, got n={n}")
+    if n > MAX_FIBER_N:
         raise SizeBoundError(f"fiber enumeration is bounded to n <= {MAX_FIBER_N}")
     counts = fiber_counts_by_pass(m, n)
     rows = []
@@ -430,7 +441,8 @@ def fiber_rows(m: FiniteSpaceModel, n: int) -> list[dict]:
 
 
 def nbhd_rows(m: FiniteSpaceModel, n: int) -> list[dict]:
-    """``word_nbhd_stats`` of every word of length <= n, on one stage."""
+    """``word_nbhd_stats`` of every word of length <= n, on one stage (1 <= n <= MAX_N)."""
+    _check_sweep_n(n)
     stage = stage_tables(m, n)
     return [{"word": " ".join(w) or "(empty)", **word_nbhd_stats(stage, w)}
             for w in sorted(words_up_to(m, n), key=lambda w: (len(w), w))]

@@ -96,9 +96,14 @@ def compare(m1: int, m2: int) -> int:
     return -1 if a < b else 1
 
 
-def position_key(m: int) -> Fraction:
-    """Sort key ordering component numbers by position: the dyadic (2m+1)/2^L."""
-    return Fraction(2 * m + 1, 1 << _level(m))
+def position_key(m: int, top: int) -> int:
+    """Sort key ordering component numbers by position, for every m >= 1 with
+    m.bit_length() <= top: the integer (2m+1) << (top - L), L = m.bit_length().
+
+    That is the dyadic key (2m+1)/2^L scaled by 2^top, so it orders the
+    components exactly as the dyadic keys do, with no Fraction built.
+    """
+    return (2 * m + 1) << (top - m.bit_length())
 
 
 def least_component_in(lower: int | None, upper: int | None) -> int:

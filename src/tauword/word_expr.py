@@ -19,6 +19,7 @@ the free groups exact.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
 from math import lcm
 
 from . import orders
@@ -47,6 +48,26 @@ class WordExpr(Frozen):
     """Base class for expression nodes."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        """``Frozen``'s field-tuple comparison, walked with an explicit stack, so
+        that the depth of a tree is not bounded by the recursion limit."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Frozen) and a.__class__ is b.__class__:
+                stack.extend(zip(a._values(a), b._values(b)))
+            elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
+
+    __hash__ = Frozen.__hash__  # defining __eq__ would otherwise clear it
 
 
 class Letter(WordExpr):
@@ -383,7 +404,9 @@ def _project(e: WordExpr, n: int) -> ReducedWord:
     for node, sign in _leaves(e):
         if isinstance(node, Product):
             factors = contributing_factors(node.spec, n)
-            key = orders.position_key if isinstance(node, TauProd) else None
+            key = None
+            if isinstance(node, TauProd):  # every key on the scale of the highest contributing level
+                key = partial(orders.position_key, top=max(factors, default=0).bit_length())
             node = Concat(tuple(factors[m] for m in sorted(factors, key=key)))
         syllables += (s for s in _letters(node if sign > 0 else Inverse(node)) if s[0] <= n)
     return reduce(syllables)

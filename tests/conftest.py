@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from tauword import free_words as fw
@@ -26,7 +27,6 @@ from tauword.orders import (
     Rationals,
     compare,
     least_component_in,
-    position_key,
     theta,
     theta_inv,
 )
@@ -219,7 +219,7 @@ def project_by_recursion(e: we.WordExpr, n: int) -> fw.ReducedWord:
         return fw.concat_all([project_by_recursion(factors[m], n) for m in sorted(factors)])
     if isinstance(e, we.TauProd):
         factors = we.contributing_factors(e.spec, n)
-        order = sorted(factors, key=position_key)
+        order = sorted(factors, key=lambda m: Fraction(2 * m + 1, 1 << m.bit_length()))  # the dyadic key
         return fw.concat_all([project_by_recursion(factors[m], n) for m in order])
     raise TypeError(f"cannot project {type(e).__name__}")
 

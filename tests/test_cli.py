@@ -612,6 +612,28 @@ def test_zero_counts_give_empty_reports(capsys):
     assert code == 0 and json.loads(out)["rows"] == []
 
 
+# (flag, its declared bound, the subcommand it is checked on; L is a letter file, P presentations)
+FLAG_BOUNDS = [
+    ("--n", cli.MAX_LEVEL, ["project", "--expr", "L"]),
+    ("--depth", cli.MAX_DEPTH, ["equal", "--builtin", "ell_infinity", "--expr", "L"]),
+    ("--blocks", cli.MAX_BLOCKS, ["wedge", "--expr", "L", "--presentations", "P"]),
+]
+
+
+@pytest.mark.parametrize("flag, bound, argv", FLAG_BOUNDS, ids=[f[0] for f in FLAG_BOUNDS])
+def test_numeric_flags_have_declared_upper_bounds(tmp_path, capsys, flag, bound, argv):
+    files = {"L": letter_file(tmp_path), "P": str(SAMPLES / "circle_wedge.json")}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv], flag, str(bound))
+    assert code in (0, 2) and out and err == ""
+    # one above the bound is rejected before any input is read
+    files["L"] = str(tmp_path / "missing.json")
+    error = f"error: {flag} must be at most {bound}, got {bound + 1}\n"
+    assert run(capsys, *[files.get(a, a) for a in argv], flag, str(bound + 1)) == (1, "", error)
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--help"])
+    assert str(bound) in capsys.readouterr().out
+
+
 def test_factor_prints_stages_in_letters_above_a_billion(tmp_path, capsys):
     a, b = we.Letter(2 * 10**9, 1), we.Letter(2 * 10**9 + 1, 1)
     path = write_json(tmp_path, "F.json", we.to_json(we.OmegaProd(we.SeqSpec((we.commutator_expr(a, b),), we.Trivial()))))
@@ -670,8 +692,12 @@ def test_orders_theta_is_bounded(capsys, fmt):
     [
         (["--check", "fibers", "--n", "9"], "fiber enumeration is bounded to n <= 8"),
         (["--check", "nbhd", "--n", "4"], "neighbourhood sweeps are bounded to n <= 3"),
+        (["--check", "fibers", "--n", "-1"], "fiber enumeration needs n >= 0, got n=-1"),
+        (["--check", "nbhd", "--n", "0"], "neighbourhood sweeps need n >= 1, got n=0"),
+        (["--check", "saturation", "--n", "-2"], "neighbourhood sweeps need n >= 1, got n=-2"),
+        (["--check", "saturation", "--n", "4"], "neighbourhood sweeps are bounded to n <= 3"),
     ],
-    ids=["fibers_n9", "nbhd_n4"],
+    ids=["fibers_n9", "nbhd_n4", "fibers_n-1", "nbhd_n0", "saturation_n-2", "saturation_n4"],
 )
 def test_james_size_bounds_are_input_errors(model_file, capsys, argv, message):
     code, out, err = run(capsys, "james", "--model", model_file, *argv)

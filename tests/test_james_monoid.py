@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -301,6 +302,20 @@ def test_topology_size_bounds():
         jm.topologies_agree(big, 2)
     with pytest.raises(jm.SizeBoundError):
         jm.topologies_agree(DISCRETE3, 4)
+
+
+def test_sweep_and_fiber_bounds_name_the_bound_that_failed():
+    for sweep in (jm.nbhd_rows, jm.sweep_standard_nbhds):
+        for n, message in ((0, "neighbourhood sweeps need n >= 1, got n=0"),
+                           (jm.MAX_N + 1, f"neighbourhood sweeps are bounded to n <= {jm.MAX_N}")):
+            with pytest.raises(jm.SizeBoundError, match=f"^{re.escape(message)}$"):
+                sweep(CHAIN, n)
+        assert sweep(CHAIN, 1) and sweep(CHAIN, jm.MAX_N)
+    with pytest.raises(jm.SizeBoundError, match=r"^fiber enumeration needs n >= 0, got n=-1$"):
+        jm.fiber_rows(CHAIN, -1)
+    with pytest.raises(jm.SizeBoundError, match=f"^fiber enumeration is bounded to n <= {jm.MAX_FIBER_N}$"):
+        jm.fiber_rows(CHAIN, jm.MAX_FIBER_N + 1)
+    assert [r["count"] for r in jm.fiber_rows(CHAIN, 0)] == [1]
 
 
 def test_canonical_key_identifies_isomorphic_models():

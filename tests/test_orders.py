@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from tauword import orders
 
 from conftest import CountingExtendedBijection, ScanEmbedding, make_rng
@@ -82,6 +84,49 @@ def brute_force_least(lo, hi, max_m=4096):
             best = c
             break
     return best
+
+
+def dyadic_key(m: int) -> Fraction:
+    """The position of component m as the dyadic rational (2m+1)/2^L, L = m.bit_length()."""
+    return Fraction(2 * m + 1, 1 << m.bit_length())
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _check_position_keys(m1: int, m2: int, top: int) -> None:
+    k1, k2 = orders.position_key(m1, top), orders.position_key(m2, top)
+    assert type(k1) is int and k1 == dyadic_key(m1) * 2**top  # the dyadic key, scaled exactly
+    assert _sign(k1 - k2) == _sign(dyadic_key(m1) - dyadic_key(m2)) == orders.compare(m1, m2)
+
+
+# component numbers of up to 300 bits, spread evenly over the levels
+_components = st.integers(1, 300).flatmap(lambda level: st.integers(1 << (level - 1), (1 << level) - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_components, _components, st.integers(0, 5))
+def test_position_key_orders_as_the_dyadic_key_and_compare(m1, m2, spare):
+    _check_position_keys(m1, m2, max(m1.bit_length(), m2.bit_length()) + spare)
+
+
+def test_position_key_on_equal_levels_and_neighbours_across_levels():
+    rng = make_rng(2626)
+    for _ in range(300):
+        level = rng.randint(1, 300)
+        m = rng.randint(1 << (level - 1), (1 << level) - 1)
+        first, last = 1 << (level - 1), (1 << level) - 1
+        # the same level, the parent, the two children and the ends of the neighbouring levels
+        others = [m, first, last, max(m - 1, 1), m + 1, max(m // 2, 1), 2 * m, 2 * m + 1,
+                  max(first - 1, 1), 2 * first, 4 * last + 3]
+        for other in others:
+            top = max(m.bit_length(), other.bit_length()) + rng.randint(0, 3)
+            _check_position_keys(m, other, top)
+            _check_position_keys(other, m, top)
+        # the two children of m sit directly left and right of it
+        top = level + 1
+        assert orders.position_key(2 * m, top) < orders.position_key(m, top) < orders.position_key(2 * m + 1, top)
 
 
 def test_least_component_in_against_brute_force():

@@ -24,6 +24,7 @@ from conftest import (
     random_finite_expr,
     random_nested_bijection,
     random_product,
+    random_template_body,
     random_zero_eta_expr,
     swapped_pair,
     too_deep_path,
@@ -529,6 +530,57 @@ def test_walk_agrees_with_the_recursive_oracles_fuzzed():
             for n in range(1, 61)
         ]
         assert we.eta(e).coords(60) == expected
+
+
+def random_tau_product(rng) -> we.TauProd:
+    """A tau product with up to five prefix factors and one to three template bodies (coefficients 1-3)."""
+    prefix = tuple(random_finite_expr(rng, depth=3, max_letter=40) for _ in range(rng.randint(0, 5)))
+    bodies = tuple(random_template_body(rng) for _ in range(rng.randint(1, 3)))
+    return we.TauProd(we.SeqSpec(prefix, we.Template(bodies)))
+
+
+def test_tau_projections_match_the_dyadic_fraction_oracle_up_to_n_3000():
+    rng = make_rng(2121)
+    for i in range(12):
+        p = random_tau_product(rng)
+        e = (p, we.Inverse(p), we.Concat((random_finite_expr(rng), p, random_finite_expr(rng))))[i % 3]
+        for n in (rng.randint(1, 30), rng.randint(100, 1000), 3000):
+            assert we.project(e, n) == project_by_recursion(e, n)
+
+
+def test_tau_projection_with_no_contributing_factor_is_the_identity():
+    for spec in (we.SeqSpec((), we.Trivial()), we.SeqSpec((we.Letter(5),), we.Trivial()),
+                 we.SeqSpec((), we.Template((we.SymLetter(4, 2),)))):
+        assert we.project(we.TauProd(spec), 3) == fw.IDENTITY
+
+
+def _deep_chain(leaf: we.WordExpr, levels: int) -> we.WordExpr:
+    for _ in range(levels):
+        leaf = we.Concat((leaf,))
+    return leaf
+
+
+def test_equality_of_chains_far_past_the_recursion_limit():
+    a, b = _deep_chain(we.Letter(1), 5000), _deep_chain(we.Letter(1), 5000)
+    assert a == b and not a != b
+    c = _deep_chain(we.Letter(2), 5000)  # only the deepest leaf differs
+    assert a != c and not a == c
+    assert _deep_chain(we.Letter(1), 4999) != a  # one level shorter
+
+
+def test_equality_matches_the_field_tuples_fuzzed():
+    rng = make_rng(2323)
+    # small alphabets and shallow trees, so that many pairs are equal or nearly so
+    exprs = [random_finite_expr(rng, depth=2, max_letter=2) for _ in range(60)]
+    exprs += [random_expr(rng) for _ in range(30)]
+    exprs += [we.from_json(we.to_json(e)) for e in exprs[-30:]]  # equal copies, not the same objects
+    for a in exprs:
+        for b in exprs:
+            # repr renders the class and the field tuple of every node
+            assert (a == b) is (repr(a) == repr(b)) is (not a != b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert sum(a == b for a in exprs for b in exprs) > len(exprs)
 
 
 @pytest.mark.parametrize("shape, head, step", NESTING_CHAINS, ids=[c[0] for c in NESTING_CHAINS])
