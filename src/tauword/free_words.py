@@ -68,15 +68,6 @@ class ReducedWord(Frozen):
     def syllable_count(self) -> int:
         return len(self.syllables)
 
-    @property
-    def length(self) -> int:
-        """Word length counting letters with multiplicity."""
-        return sum(abs(e) for _, e in self.syllables)
-
-    def max_letter(self) -> int:
-        """Largest letter index used; 0 for the identity."""
-        return max((l for l, _ in self.syllables), default=0)
-
     def __str__(self) -> str:
         return render_word(self)
 

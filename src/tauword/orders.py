@@ -135,13 +135,18 @@ class OrderSpec:
     """A countable linear order on index set 1..size (or all of N if infinite).
 
     ``key(i)`` maps an index to a totally ordered value; indices are compared
-    through their keys.
+    through their keys.  ``has_between(a, b)`` says whether some index has a
+    key strictly between keys a and b, where None for a (b) stands below
+    (above) every key.
     """
 
     size: int | None = None
     name = "order"
 
     def key(self, i: int):
+        raise NotImplementedError
+
+    def has_between(self, a, b) -> bool:
         raise NotImplementedError
 
     def cmp(self, i: int, j: int) -> int:
@@ -166,6 +171,9 @@ class FiniteChain(OrderSpec):
     def key(self, i: int):
         return i
 
+    def has_between(self, a, b) -> bool:
+        return (self.size + 1 if b is None else b) - (a or 0) > 1
+
 
 class ExplicitFinite(OrderSpec):
     """Finite order given by a list of comparable values (e.g. ints, Fractions)."""
@@ -182,12 +190,18 @@ class ExplicitFinite(OrderSpec):
     def key(self, i: int):
         return self.values[i - 1]
 
+    def has_between(self, a, b) -> bool:
+        return any((a is None or a < v) and (b is None or v < b) for v in self.values)
+
 
 class Omega(OrderSpec):
     name = "omega"
 
     def key(self, i: int):
         return i
+
+    def has_between(self, a, b) -> bool:
+        return b is None or b - (a or 0) > 1
 
 
 class OmegaPlusOmega(OrderSpec):
@@ -201,6 +215,11 @@ class OmegaPlusOmega(OrderSpec):
     def key(self, i: int):
         return (0, (i + 1) // 2) if i % 2 == 1 else (1, i // 2)
 
+    def has_between(self, a, b) -> bool:
+        # the first copy is unbounded above, so only a gap inside one copy can be empty
+        a = a or (0, 0)
+        return b is None or a[0] < b[0] or b[1] - a[1] > 1
+
 
 class IntegersZeta(OrderSpec):
     """Order type of the integers; indices zigzag 0, 1, -1, 2, -2, ..."""
@@ -211,6 +230,9 @@ class IntegersZeta(OrderSpec):
         if i == 1:
             return 0
         return i // 2 if i % 2 == 0 else -(i // 2)
+
+    def has_between(self, a, b) -> bool:
+        return a is None or b is None or b - a > 1
 
 
 class Rationals(OrderSpec):
@@ -227,6 +249,9 @@ class Rationals(OrderSpec):
             return Fraction(0)
         q = _stern_rational(i // 2)
         return q if i % 2 == 0 else -q
+
+    def has_between(self, a, b) -> bool:
+        return True  # dense and unbounded
 
 
 def _fusc(n: int) -> int:
@@ -258,6 +283,7 @@ def order_spec(name: str) -> OrderSpec:
 
 
 _CEILING = 1  # component 1 = (1/3, 2/3) bounds every image above
+MAX_MEMBERSHIP_STEPS = 200000  # placements one membership question may make before it gives up
 
 
 class Embedding:
@@ -318,53 +344,36 @@ class Embedding:
         self.ensure(i)
         return self._images[i - 1]
 
-    def index_of_component(self, m: int, max_steps: int = 200000) -> int | None:
+    def index_of_component(self, m: int) -> int | None:
         """Source index mapped to component m, or None if m is never hit.
 
-        Decided by simulating placements with a per-source stopping rule:
-        finite sources are exhausted; for omega, zeta, and omega+omega the
-        image frontiers are monotone, so a candidate is excluded once the
-        relevant frontier passes it; the rationals source provably hits every
-        component left of the ceiling.
+        One rule for every source: indices are placed until one lands on m or
+        the source has no key strictly between the keys of m's placed
+        neighbours (the ceiling stands above every key).  Each landing in that
+        gap takes its least-numbered component, so one of the two happens
+        within m landings.
         """
         if m not in self._membership:
-            self._membership[m] = self._decide_membership(m, max_steps)
+            self._membership[m] = self._decide_membership(m)
         return self._membership[m]
 
-    def _decide_membership(self, m: int, max_steps: int) -> int | None:
+    def _decide_membership(self, m: int) -> int | None:
         # placed images are already in the memo, so m is none of them
         if compare(m, _CEILING) >= 0:
             return None  # images live strictly left of the ceiling
-        if self.spec.size is not None:
-            self.ensure(self.spec.size)
-            return self._membership.get(m)
-        for _ in range(max_steps):
-            if self._excluded(m):
+        num, level = 2 * m + 1, m.bit_length()
+        for _ in range(MAX_MEMBERSHIP_STEPS):
+            # p images lie left of m (dyadic keys cross-multiplied, as in compare);
+            # m's neighbours are the images at p - 1 and p
+            p = bisect_left(self._ascending, True, key=lambda c: (2 * c + 1 << level) > (num << c.bit_length()))
+            below = self._keys[p - 1] if p else None
+            above = self._keys[p] if p < len(self._keys) else None
+            if not self.spec.has_between(below, above):
                 return None
             self._place_next()
             if self._images[-1] == m:
                 return len(self._images)
-        raise RuntimeError(f"membership of component {m} undecided after {max_steps} steps")
-
-    def _excluded(self, m: int) -> bool:
-        images = self._images
-        if not images:
-            return False
-        spec = self.spec
-        if isinstance(spec, Omega):
-            return compare(images[-1], m) > 0  # the images ascend
-        if isinstance(spec, IntegersZeta):
-            return compare(self._ascending[0], m) < 0 < compare(self._ascending[-1], m)
-        if isinstance(spec, OmegaPlusOmega):
-            # odd indices ascend through the first copy, even ones through the second
-            n = len(images)
-            if compare(m, images[(n - 1) // 2 * 2]) < 0:
-                return True  # below the first copy's frontier, the last odd-index image
-            # strictly inside the second copy's span, from index 2 to the last even index
-            return n >= 4 and compare(images[1], m) < 0 < compare(images[n // 2 * 2 - 1], m)
-        if isinstance(spec, Rationals):
-            return False  # every component left of the ceiling is eventually hit
-        raise RuntimeError(f"no membership rule for source {spec}")
+        raise RuntimeError(f"membership of component {m} undecided after {MAX_MEMBERSHIP_STEPS} steps")
 
     def missed_through(self, n: int) -> int:
         """How many of the components 1..n no source index maps to."""

@@ -472,17 +472,17 @@ def wedge_images(
         missing = [L for L in support if L not in letter_map]
         if missing:
             raise ValueError(f"letters outside the declared map: {missing}")
-    candidates = sorted(set(range(1, blocks + 1)) | set(letter_map))
+    targets: dict[int, list[tuple[int, int]]] = {}  # block -> its (letter, generator) pairs, letters ascending
+    for letter in sorted(set(range(1, blocks + 1)) | set(letter_map)):
+        blk, gen = letter_map.get(letter, (letter, 1))
+        targets.setdefault(blk, []).append((letter, gen))
     cycle = declared[repeat_from:]
     rows = []
     for k in range(1, blocks + 1):
         block = declared[k - 1] if k <= len(declared) else cycle[(k - len(declared) - 1) % len(cycle)]
         gens = block["generators"]
         coords = [0] * gens
-        for letter in candidates:
-            blk, gen = letter_map.get(letter, (letter, 1))
-            if blk != k:
-                continue
+        for letter, gen in targets.get(k, ()):
             if not 1 <= gen <= gens:
                 raise ValueError(f"letter {letter} maps to missing generator {gen} in block {k}")
             coords[gen - 1] += v.at(letter)

@@ -2,8 +2,9 @@
 (the set-based twins of the ``james_monoid`` bitmask stage engine, the
 scan-based twins of the ``orders`` embedding and extension, the sorting
 twin of the letter-peeling ``commutator_decompose``, the recursive twins
-of the ``word_expr`` leaf walk and the sampled twin of the folded
-``Compose.eventual_structure`` among them)."""
+of the ``word_expr`` leaf walk, the sampled twin of the folded
+``Compose.eventual_structure`` and the letter-scanning twin of
+``specker.wedge_images`` among them)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from tauword import free_words as fw
 from tauword import rearrange as ra
+from tauword import specker as sp
 from tauword import word_expr as we
 from tauword.james_monoid import FiniteSpaceModel, ModelError, Word
 from tauword.orders import (
@@ -594,3 +596,34 @@ class CountingExtendedBijection:
             if self.nu.index_of_component(j) is None:
                 count += 1
         return j
+
+
+def wedge_images_by_scan(v: sp.SpeckerVector, presentations, blocks: int) -> list[dict]:
+    """Reference for ``specker.wedge_images``: every candidate letter is scanned for every block."""
+    declared, repeat_from, letter_map = presentations
+    if not declared:
+        raise ValueError("presentations file declares no blocks")
+    if letter_map and not v.has_finite_support:
+        raise ValueError("an explicit letter map needs a finite-support image")
+    if letter_map:
+        support = [i + 1 for i, a in enumerate(v.prefix) if a != 0]
+        missing = [L for L in support if L not in letter_map]
+        if missing:
+            raise ValueError(f"letters outside the declared map: {missing}")
+    candidates = sorted(set(range(1, blocks + 1)) | set(letter_map))
+    cycle = declared[repeat_from:]
+    rows = []
+    for k in range(1, blocks + 1):
+        block = declared[k - 1] if k <= len(declared) else cycle[(k - len(declared) - 1) % len(cycle)]
+        gens = block["generators"]
+        coords = [0] * gens
+        for letter in candidates:
+            blk, gen = letter_map.get(letter, (letter, 1))
+            if blk != k:
+                continue
+            if not 1 <= gen <= gens:
+                raise ValueError(f"letter {letter} maps to missing generator {gen} in block {k}")
+            coords[gen - 1] += v.at(letter)
+        rank, torsion, image = sp.h1_image(block.get("relators", []), gens, coords)
+        rows.append({"block": k, "free_rank": rank, "torsion": torsion, "image": image})
+    return rows

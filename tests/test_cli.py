@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -576,6 +577,30 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "wedge", "--builtin", "ell_tau", "--presentations", deep)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read presentations {deep!r}: maximum recursion depth")
+
+
+FILE_FLAGS = {
+    "expression": ["project", "--n", "2", "--expr"],
+    "bijection": ["shuffle", "--builtin", "ell_infinity", "--bijection"],
+    "model": ["james", "--check", "topology", "--n", "1", "--model"],
+    "presentations": ["wedge", "--builtin", "ell_tau", "--presentations"],
+}
+# an integer with more decimal digits than Python converts from a string
+HUGE_INT = b'{"blocks": 1' + b"0" * 5000 + b"}"
+UNREADABLE = [(what, b"\xff") for what in FILE_FLAGS] + [
+    (what, HUGE_INT) for what in ("expression", "bijection", "presentations")
+]
+
+
+@pytest.mark.parametrize("what, content", UNREADABLE, ids=[f"{w}-{'huge_int' if c is HUGE_INT else 'not_utf8'}" for w, c in UNREADABLE])
+def test_every_unreadable_file_is_named(tmp_path, capsys, what, content):
+    if content is HUGE_INT and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integer strings of any length")
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *FILE_FLAGS[what], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {what} {str(path)!r}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("shape, head, step", NESTING_CHAINS, ids=[c[0] for c in NESTING_CHAINS])

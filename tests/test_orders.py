@@ -322,6 +322,45 @@ def test_membership_matches_scan_oracle():
         assert [warm.index_of_component(m) for m in range(1, bound)] == got, spec.name
 
 
+def test_has_between_matches_a_search_over_the_keys():
+    for spec in [*ALL_SPECS, orders.FiniteChain(0), orders.ExplicitFinite([])]:
+        n = spec.size if spec.size is not None else 30
+        # a gap between or beyond the first n keys that holds a key holds one of the first 4n + 4
+        keys = [spec.key(i) for i in range(1, (spec.size if spec.size is not None else 4 * n + 4) + 1)]
+        ends = [None, *keys[:n]]
+        for a in ends:
+            for b in ends:
+                if a is not None and b is not None and not a < b:
+                    continue
+                found = any((a is None or a < k) and (b is None or k < b) for k in keys)
+                expected = found or isinstance(spec, orders.Rationals)  # the rationals are dense and unbounded
+                assert spec.has_between(a, b) == expected, (spec.name, a, b)
+
+
+class _ReverseOmega(orders.OrderSpec):
+    """omega*: 1 > 2 > 3 > ...; defines only its keys and the gap rule."""
+
+    name = "omega*"
+
+    def key(self, i):
+        return -i
+
+    def has_between(self, a, b):
+        return a is None or (b or 0) - a > 1
+
+
+def test_membership_of_an_order_outside_the_library():
+    spec = _ReverseOmega()
+    # omega* sends index i to the leftmost component 2^i of level i + 1, so
+    # the components below 2^12 are hit among the first 12 indices or never
+    scan = ScanEmbedding(spec)
+    placed = [scan.image_index(i) for i in range(1, 13)]
+    assert placed == [2**i for i in range(1, 13)]
+    emb = orders.Embedding(spec)
+    got = [emb.index_of_component(m) for m in range(1, 2**12)]
+    assert got == [placed.index(m) + 1 if m in placed else None for m in range(1, 2**12)]
+
+
 class _Ties(orders.OrderSpec):
     name = "ties"
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from tauword import specker as sp
 
-from conftest import make_rng, mat_mul
+from conftest import make_rng, mat_mul, wedge_images_by_scan
 
 vectors = st.builds(
     sp.vector,
@@ -433,3 +433,40 @@ def test_wedge_blocks_past_the_declared_ones_cycle_from_repeat_from():
     assert [r["image"] for r in rows] == [[1], [1], [1], [1], [1], [1]]
     with pytest.raises(ValueError, match="declares no blocks"):
         sp.wedge_images(sp.all_ones(), sp.presentations_from_json({"blocks": [], "repeat_from": 7}), 1)
+
+
+def _wedge_outcome(images, v, pres, blocks):
+    try:
+        return images(v, pres, blocks)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_wedge_images_match_the_scan_oracle_on_seeded_maps():
+    rng = make_rng(4242)
+    errors = 0
+    for _ in range(300):
+        declared = []
+        for _ in range(rng.randint(1, 4)):
+            gens = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(gens)] for _ in range(rng.randint(0, 2))]
+            declared.append({"generators": gens, "relators": rows})
+        blocks = rng.randint(0, 12)
+        # letters past --blocks, several letters per block, and some generators a block lacks
+        letters = {
+            str(letter): {"block": rng.randint(1, blocks + 2), "gen": rng.randint(1, 4)}
+            for letter in rng.sample(range(1, 16), rng.randint(0, 8))
+        }
+        pres = sp.presentations_from_json(
+            {"blocks": declared, "repeat_from": rng.randrange(len(declared)), "letters": letters}
+        )
+        # now and then a letter outside the map, or an infinite support
+        support = [int(k) for k in letters] + [16] * (rng.random() < 0.1)
+        prefix = [0] * max(support, default=0)
+        for letter in support:
+            prefix[letter - 1] = rng.randint(-4, 4)
+        v = sp.vector(prefix, [rng.randint(-2, 2)] if rng.random() < 0.2 else [0])
+        expected = _wedge_outcome(wedge_images_by_scan, v, pres, blocks)
+        assert _wedge_outcome(sp.wedge_images, v, pres, blocks) == expected
+        errors += isinstance(expected, str)
+    assert 30 < errors < 270  # both rows and errors are compared
