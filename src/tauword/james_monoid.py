@@ -7,13 +7,18 @@ free monoid; the length-n stage carries the quotient topology from the n-th
 power of the model, where a tuple maps to the word obtained by dropping
 basepoint entries.
 
-Everything here is exhaustive and exact.  One bitmask engine does the tuple
-work: ``stage_tables`` builds a stage once (tuple i of the n-th power is bit
-i, with fiber masks and per-slot masks of every open set), and each standard
-neighbourhood is an OR of ANDs of slot masks, checked for saturation against
-the fiber masks.  The quotient topology is compared with the subspace
-topology induced from higher stages via minimal open sets.  The set-based
-fiber, neighbourhood and saturation routines live in the tests as oracles.
+Everything here is exhaustive and exact, and no check repeats work.
+``stage_tables`` builds a stage once (tuple i of the n-th power is bit i,
+with fiber masks and per-slot masks of every open set).  A standard
+neighbourhood is an OR of ANDs of slot masks; each distinct one is checked
+for saturation against the fiber masks once, and a word of length n, which
+fills every slot, has one neighbourhood for every V.  Fibers are counted by
+pushing the power through the quotient one slot at a time.  Minimal open
+sets come from one memoised walk of the successor relation per stage, as
+masks over one word-to-bit map shared by stages n to n + 2, so the quotient
+topology on stage n is compared with the subspace topology from stages n + 1
+and n + 2 by masking.  The set-based routines, the minimal-open search and
+the tuple-pass fiber count live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -196,23 +201,44 @@ def word_successors(m: FiniteSpaceModel, w: Word, n: int) -> set[Word]:
     return out
 
 
+def _open_walk(m: FiniteSpaceModel, n: int, bit: dict[Word, int]):
+    """Memoised minimal opens in the length-n stage, as masks: word u is bit ``bit[u]``, and a
+    word not in ``bit`` gets the next bit.  The minimal open of w is {w} with those of its
+    successors; a successor step raises the sum of |down(x)| - |down(base)| over the letters,
+    so the walk ends, below depth 40 within the bounds, and lists each word's successors once."""
+    memo: dict[Word, int] = {}
+
+    def walk(w: Word) -> int:
+        mask = memo.get(w)
+        if mask is None:
+            mask = 1 << bit.setdefault(w, len(bit))
+            for v in word_successors(m, w, n):
+                mask |= walk(v)
+            memo[w] = mask
+        return mask
+
+    return walk
+
+
+def _words_in(mask: int, bit: dict[Word, int]) -> frozenset[Word]:
+    words, out = list(bit), []  # words[i] has bit i
+    while mask:
+        out.append(words[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return frozenset(out)
+
+
 def minimal_open(m: FiniteSpaceModel, w: Word, n: int) -> frozenset[Word]:
     """Minimal open set of w in the quotient topology of the length-n stage."""
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in word_successors(m, u, n):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(seen)
+    bit: dict[Word, int] = {}
+    return _words_in(_open_walk(m, n, bit)(w), bit)
 
 
 def quotient_min_opens(m: FiniteSpaceModel, n: int) -> dict[Word, frozenset[Word]]:
-    return {w: minimal_open(m, w, n) for w in words_up_to(m, n)}
+    bit: dict[Word, int] = {}
+    walk = _open_walk(m, n, bit)
+    masks = {w: walk(w) for w in words_up_to(m, n)}
+    return {w: _words_in(mask, bit) for w, mask in masks.items()}
 
 
 def stage_closed_in_next(m: FiniteSpaceModel, n: int) -> bool:
@@ -243,23 +269,27 @@ def topologies_agree(m: FiniteSpaceModel, n: int) -> TopologyReport:
         )
     if n < 0:
         raise SizeBoundError(f"the topology check needs n >= 0, got n={n}")
-    stage = set(words_up_to(m, n))
-    quotient = quotient_min_opens(m, n)
+    bit = {w: i for i, w in enumerate(words_up_to(m, n + 2))}  # by length: the stage is the low bits
+    stage = sorted(words_up_to(m, n))
+    stage_bits = (1 << len(stage)) - 1
+    walk = _open_walk(m, n, bit)
+    quotient = {w: walk(w) for w in stage}
     agree = True
     stable = True
     certificate = None
     for k, flag in ((n + 1, "agree"), (n + 2, "stable")):
-        for w in sorted(stage):
-            sub = frozenset(u for u in minimal_open(m, w, k) if len(u) <= n)
+        walk = _open_walk(m, k, bit)
+        for w in stage:
+            sub = walk(w) & stage_bits
             if sub != quotient[w]:
                 if flag == "agree":
                     agree = False
                 stable = False
                 if certificate is None:
-                    certificate = (w, quotient[w], sub)
+                    certificate = (w, _words_in(quotient[w], bit), _words_in(sub, bit))
         if not stable:
             break
-    stage_t1 = all(quotient[w] == frozenset([w]) for w in stage)
+    stage_t1 = all(quotient[w] == 1 << bit[w] for w in stage)
     return TopologyReport(
         n=n,
         agree=agree,
@@ -389,16 +419,15 @@ def word_nbhd_stats(tables: Stage, w: Word) -> dict:
     """
     base = tables.model.base
     per_letter = [[o for o in tables.opens if x in o and base not in o] for x in w]
-    sizes = []
-    saturated = 0
-    for us in itertools.product(*per_letter):
-        for v in tables.base_opens:
-            mask = nbhd_mask(tables, w, us, v)
-            sizes.append(mask.bit_count())
-            saturated += mask_saturated(tables, mask)
+    # A word of length n fills every slot, so its one box never reads V: it
+    # stands for all of base_opens.
+    vs = tables.base_opens[:1] if len(w) == tables.n else tables.base_opens
+    weight = len(tables.base_opens) // len(vs)
+    masks = Counter(nbhd_mask(tables, w, us, v) for us in itertools.product(*per_letter) for v in vs)
+    sizes = [mask.bit_count() for mask in masks]
     return {
-        "specs": len(sizes),
-        "saturated": saturated,
+        "specs": weight * masks.total(),
+        "saturated": weight * sum(count for mask, count in masks.items() if mask_saturated(tables, mask)),
         "smallest": min(sizes, default=0),
         "largest": max(sizes, default=0),
     }
@@ -417,8 +446,17 @@ def sweep_standard_nbhds(m: FiniteSpaceModel, n: int) -> tuple[int, int]:
 
 
 def fiber_counts_by_pass(m: FiniteSpaceModel, n: int) -> dict[Word, int]:
-    """Count fiber sizes by a single streaming pass over the full n-th power."""
-    return Counter(tuple(x for x in t if x != m.base) for t in itertools.product(m.points, repeat=n))
+    """Count the tuples of the n-th power over each word, one slot at a time: the new
+    slot holds the basepoint (the word stays) or a letter x (the word gains x)."""
+    letters = m.letters()
+    counts = Counter({(): 1})
+    for _ in range(n):
+        grown = Counter(counts)
+        for w, count in counts.items():
+            for x in letters:
+                grown[w + (x,)] += count
+        counts = grown
+    return counts
 
 
 def expected_fiber_count(n: int, length: int) -> int:

@@ -182,10 +182,9 @@ class ExplicitFinite(OrderSpec):
         self.values = list(values)
         self.size = len(self.values)
         self.name = f"explicit({self.size})"
-        for a in range(self.size):
-            for b in range(self.size):
-                if (self.values[a] < self.values[b]) == (self.values[b] < self.values[a]) and a != b:
-                    raise ValueError("comparator is not a total order on the values")
+        ordered = sorted(self.values)
+        if not all(a < b and not b < a for a, b in zip(ordered, ordered[1:])):
+            raise ValueError("comparator is not a total order on the values")
 
     def key(self, i: int):
         return self.values[i - 1]

@@ -1,5 +1,7 @@
 """Shared deterministic generators for fuzzed inputs, and reference oracles
 (the set-based twins of the ``james_monoid`` bitmask stage engine, the
+search, tuple-pass and per-spec twins of its minimal opens, fiber counts
+and neighbourhood statistics, the
 scan-based twins of the ``orders`` embedding and extension, the sorting
 twin of the letter-peeling ``commutator_decompose``, the recursive twins
 of the ``word_expr`` leaf walk, the sampled twin of the folded
@@ -11,10 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from tauword import free_words as fw
+from tauword import james_monoid as jm
 from tauword import rearrange as ra
 from tauword import specker as sp
 from tauword import word_expr as we
@@ -429,6 +433,75 @@ def check_saturated(m: FiniteSpaceModel, tuples, n: int) -> bool:
     for w in image:
         preimage.update(fiber(m, w, n))
     return preimage == tuples
+
+
+def minimal_open_by_search(m: FiniteSpaceModel, w: Word, n: int) -> frozenset[Word]:
+    """Reference for ``james_monoid.minimal_open``: a breadth-first search of w's up-closure."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in jm.word_successors(m, u, n):
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def topology_report_by_search(m: FiniteSpaceModel, n: int, min_open=minimal_open_by_search) -> jm.TopologyReport:
+    """Reference for ``james_monoid.topologies_agree``: one minimal-open search per stage word and stage."""
+    stage = set(jm.words_up_to(m, n))
+    quotient = {w: min_open(m, w, n) for w in stage}
+    agree = True
+    stable = True
+    certificate = None
+    for k, flag in ((n + 1, "agree"), (n + 2, "stable")):
+        for w in sorted(stage):
+            sub = frozenset(u for u in min_open(m, w, k) if len(u) <= n)
+            if sub != quotient[w]:
+                if flag == "agree":
+                    agree = False
+                stable = False
+                if certificate is None:
+                    certificate = (w, quotient[w], sub)
+        if not stable:
+            break
+    return jm.TopologyReport(
+        n=n,
+        agree=agree,
+        stable=stable,
+        certificate=certificate,
+        stage_t1=all(quotient[w] == frozenset([w]) for w in stage),
+        base_closed=m.base_is_closed,
+        model_t1=m.is_t1,
+        closed_in_next=jm.stage_closed_in_next(m, n),
+    )
+
+
+def fiber_counts_by_tuples(m: FiniteSpaceModel, n: int) -> Counter:
+    """Reference for ``james_monoid.fiber_counts_by_pass``: one pass over every tuple of the n-th power."""
+    return Counter(q_tuple(m, t) for t in itertools.product(m.points, repeat=n))
+
+
+def word_nbhd_stats_by_specs(tables: jm.Stage, w: Word) -> dict:
+    """Reference for ``james_monoid.word_nbhd_stats``: one mask and one saturation test per spec."""
+    base = tables.model.base
+    per_letter = [[o for o in tables.opens if x in o and base not in o] for x in w]
+    sizes = []
+    saturated = 0
+    for us in itertools.product(*per_letter):
+        for v in tables.base_opens:
+            mask = jm.nbhd_mask(tables, w, us, v)
+            sizes.append(mask.bit_count())
+            saturated += jm.mask_saturated(tables, mask)
+    return {
+        "specs": len(sizes),
+        "saturated": saturated,
+        "smallest": min(sizes, default=0),
+        "largest": max(sizes, default=0),
+    }
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -955,6 +955,15 @@ GOLDEN_REPORTS = {  # name: (argv, exit code); the report is tests/data/golden_<
         f"james_{check}": (["james", "--model", str(SAMPLES / "chain_model.txt"), "--check", check, "--n", "2"], 0)
         for check in ("fibers", "nbhd", "saturation", "topology")
     },
+    **{
+        f"james_{model}_{check}": (["james", "--model", str(SAMPLES / f"{model}_model.txt"), "--check", check, "--n", n], 0)
+        for model, check, n in [
+            ("chain4", "topology", "3"),
+            ("chain4", "fibers", "4"),
+            ("discrete4", "saturation", "3"),
+            ("discrete4", "nbhd", "3"),
+        ]
+    },
     "theta": (["orders", "theta", "11"], 0),
     "compare": (["orders", "compare", "6", "5"], 0),
     **{

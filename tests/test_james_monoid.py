@@ -11,9 +11,13 @@ from conftest import (
     check_saturated,
     concat_words,
     fiber,
+    fiber_counts_by_tuples,
     make_rng,
+    minimal_open_by_search,
     q_tuple,
     standard_nbhd,
+    topology_report_by_search,
+    word_nbhd_stats_by_specs,
 )
 
 
@@ -340,3 +344,45 @@ def test_all_models_refuses_more_points_than_max_points():
     assert jm.MAX_POINTS == 4
     with pytest.raises(ValueError, match="MAX_POINTS"):
         jm.all_models(5)
+
+
+# ---------------------------------------------------------------------------
+# the stage kernels against their search, tuple-pass and per-spec twins
+# ---------------------------------------------------------------------------
+
+ALL_MODELS = jm.all_models(4)
+DISCRETE4 = jm.model(["e", "a", "b", "c"], "e", [])
+
+
+def test_fiber_counts_match_tuple_pass():
+    for m in ALL_MODELS:
+        for n in range(7):
+            assert jm.fiber_counts_by_pass(m, n) == fiber_counts_by_tuples(m, n), (m, n)
+    assert jm.fiber_counts_by_pass(DISCRETE4, 8) == fiber_counts_by_tuples(DISCRETE4, 8)
+
+
+def test_minimal_opens_and_topology_reports_match_search():
+    # every stage word of stages n <= 3, at stages n, n + 1 and n + 2
+    for m in ALL_MODELS:
+        searched = {}  # one search per (word, stage), shared with the report oracle
+
+        def search(m, w, k):
+            if (w, k) not in searched:
+                searched[w, k] = minimal_open_by_search(m, w, k)
+            return searched[w, k]
+
+        for k in range(jm.MAX_N + 3):
+            opens = jm.quotient_min_opens(m, k)
+            assert opens.keys() == set(jm.words_up_to(m, k))
+            for w in jm.words_up_to(m, min(k, jm.MAX_N)):
+                assert opens[w] == search(m, w, k), (m, w, k)
+        for n in range(jm.MAX_N + 1):
+            assert jm.topologies_agree(m, n) == topology_report_by_search(m, n, search), (m, n)
+
+
+def test_word_nbhd_stats_match_per_spec_loop():
+    for m in ALL_MODELS:
+        for n in range(1, jm.MAX_N + 1):
+            tables = jm.stage_tables(m, n)
+            for w in jm.words_up_to(m, n):
+                assert jm.word_nbhd_stats(tables, w) == word_nbhd_stats_by_specs(tables, w), (m, n, w)

@@ -278,6 +278,27 @@ def test_explicit_finite_rejects_duplicates():
         orders.ExplicitFinite([1, 1, 2])
 
 
+@pytest.mark.parametrize("values", [[{1}, {2}], [{1}, {2}, {1, 2}], [{1, 2}, {1}, {3}]])
+def test_explicit_finite_rejects_incomparable_values(values):
+    with pytest.raises(ValueError, match="^comparator is not a total order on the values$"):
+        orders.ExplicitFinite([frozenset(v) for v in values])
+
+
+def test_explicit_finite_checks_totality_in_n_log_n_comparisons():
+    comparisons = 0
+
+    class Counted(int):
+        def __lt__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return int(self) < int(other)
+
+    values = [Counted(v) for v in make_rng(34).sample(range(10**6), 3000)]
+    spec = orders.ExplicitFinite(values)
+    assert spec.size == 3000 and [spec.key(i) for i in (1, 3000)] == [values[0], values[-1]]
+    assert comparisons < 20 * 3000  # every pair would take about 9,000,000
+
+
 def test_membership_found_and_excluded():
     for spec in ALL_SPECS:
         emb = orders.back_and_forth_embed(spec)
